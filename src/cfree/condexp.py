@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 
-from .engine import resolvent_series, solve_fixed_point
+from .engine import _z_times, solve_fixed_point
 from .errors import DomainError, LimitError
 from .ncpoly import NCPolynomial, block_factorize
 from .series import SquareMatrix, TruncSeries
@@ -207,11 +207,6 @@ def _lift_entries(series):
     return series.map(lambda mat: mat.map(NCPolynomial.scalar))
 
 
-def _z_times_poly(series, order):
-    zero = series.coeffs[0].zero_like()
-    return TruncSeries(((zero,) + series.coeffs)[: order + 1])
-
-
 def _efree_resolvent_factor(st):
     """(I - z A X - z B F_Y)^{-1} at the state's order."""
     order = st.order
@@ -221,7 +216,7 @@ def _efree_resolvent_factor(st):
     ident = TruncSeries.constant(
         SquareMatrix.identity(st.n, NCPolynomial.one()), order
     )
-    return (ident - _z_times_poly(ax + bf, order)).inverse()
+    return (ident - _z_times(ax + bf, order)).inverse()
 
 
 def efree_resolvent(spec, a, b, order):
@@ -248,5 +243,5 @@ def rqce_resolvent(spec, a, b, order):
     first = _lift_entries(st.m_phi)
     mixed = (st.a * st.f_x_phi) + (st.b * st.f_y)
     ident = TruncSeries.constant(SquareMatrix.identity(st.n), order)
-    middle = _lift_entries(ident - _z_times_poly(mixed, order))
+    middle = _lift_entries(ident - _z_times(mixed, order))
     return first * middle * _efree_resolvent_factor(st)

@@ -20,7 +20,7 @@ from .engine import poly_distribution
 from .errors import DomainError, InternalError
 from .cumulants import MomentSeq
 from .ncpoly import NCPolynomial, parse_poly
-from .scalars import GQ_ONE, GQ_ZERO, GaussianRational
+from .scalars import GQ_ZERO, GaussianRational
 from .series import SquareMatrix
 from .twostate import TwoStateSpec
 

@@ -38,7 +38,6 @@ __all__ = [
     "EngineState",
     "resolvent_series",
     "solve_fixed_point",
-    "mgf",
     "phi_resolvents",
     "poly_distribution",
 ]
@@ -172,11 +171,30 @@ class EngineState:
         return self.mgf(which).map(lambda mat: mat.apply_bilinear(u, v))
 
 
-def _sweep(spec, a_s, b_s, ident, h_x, h_y, f_x, f_y):
+def _settle(step, start, sweeps):
+    """Apply a Jacobi step the given number of times, then certify.
+
+    The fixed points solved here are triangular order by order, so a
+    fixed number of sweeps settles every coefficient; one further sweep
+    must return its input unchanged, or InternalError is raised.
+    """
+    state = start
+    for _ in range(sweeps):
+        state = step(state)
+    if step(state) != state:
+        raise InternalError(
+            "subordination fixed point failed to stabilize after %d sweeps"
+            % (sweeps + 1)
+        )
+    return state
+
+
+def _sweep(spec, a_s, b_s, ident, blocks):
     """One Jacobi update of the six blocks from the previous iterate."""
+    h_x, h_y, f_x, f_y = blocks[:4]
     arg_x = (h_y * a_s).shift(1)
     arg_y = (h_x * b_s).shift(1)
-    new = (
+    return (
         (ident - (a_s * f_x).shift(1)).inverse(),
         (ident - (b_s * f_y).shift(1)).inverse(),
         spec.eta("x", "psi").compose_shifted(arg_x),
@@ -184,7 +202,6 @@ def _sweep(spec, a_s, b_s, ident, h_x, h_y, f_x, f_y):
         spec.eta("x", "phi").compose_shifted(arg_x),
         spec.eta("y", "phi").compose_shifted(arg_y),
     )
-    return new
 
 
 def solve_fixed_point(spec, a, b, order):
@@ -209,18 +226,11 @@ def solve_fixed_point(spec, a, b, order):
 
     ident = TruncSeries.constant(SquareMatrix.identity(n), sub)
     zero = TruncSeries.constant(SquareMatrix.zeros(n), sub)
-    blocks = (ident, ident, zero, zero, zero, zero)
-    for _ in range(order + 1):
-        h_x, h_y, f_x, f_y = blocks[0], blocks[1], blocks[2], blocks[3]
-        updated = _sweep(spec, a_s, b_s, ident, h_x, h_y, f_x, f_y)
-        blocks = updated
-    check = _sweep(spec, a_s, b_s, ident, blocks[0], blocks[1], blocks[2], blocks[3])
-    if check != blocks:
-        raise InternalError(
-            "subordination fixed point failed to stabilize after %d sweeps"
-            % (order + 2)
-        )
-    h_x, h_y, f_x, f_y, f_x_phi, f_y_phi = blocks
+    h_x, h_y, f_x, f_y, f_x_phi, f_y_phi = _settle(
+        lambda blocks: _sweep(spec, a_s, b_s, ident, blocks),
+        (ident, ident, zero, zero, zero, zero),
+        order + 1,
+    )
 
     def transform(fx, fy):
         term = _z_times((a_s * fx) + (b_s * fy), order)
@@ -242,11 +252,6 @@ def solve_fixed_point(spec, a, b, order):
         m_phi=transform(f_x_phi, f_y_phi),
         m_psi=transform(f_x, f_y),
     )
-
-
-def mgf(state, which="phi"):
-    """Moment transform of the solved sum in the requested state."""
-    return state.mgf(which)
 
 
 def phi_resolvents(state):

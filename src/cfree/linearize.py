@@ -15,9 +15,9 @@ the y-labeled ones, and u = v = the root coordinate vector.
 
 from __future__ import annotations
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from .ncpoly import NCPolynomial
-from .scalars import GQ_ONE, GQ_ZERO, GaussianRational, format_gaussian, parse_gaussian
+from .scalars import GQ_ONE, GQ_ZERO
 from .series import SquareMatrix, TruncSeries
 
 
@@ -43,13 +43,6 @@ class Linearization:
 
     def __setattr__(self, name, value):
         raise AttributeError("Linearization is immutable")
-
-    def letter_matrix_series(self, letter, order):
-        """A(z) or B(z) as a scalar-matrix series padded to the order."""
-        coeffs = self.a_coeffs if letter == "x" else self.b_coeffs
-        zero = SquareMatrix.zeros(self.n)
-        out = [coeffs[k] if k < len(coeffs) else zero for k in range(order + 1)]
-        return TruncSeries(out)
 
     def l_series(self, order):
         """L(z) = A(z)X + B(z)Y with polynomial entries."""
@@ -176,93 +169,3 @@ def verify_linearization(lin, p, order):
         if lhs.coeff(k) != rhs.coeff(k):
             return VerifyResult(False, k)
     return VerifyResult(True)
-
-
-# ---------------------------------------------------------------------------
-# JSON form: matrices as nested arrays of z-coefficient string lists
-# ---------------------------------------------------------------------------
-
-
-def _matrix_stack_to_json(coeffs, n):
-    powers = len(coeffs)
-    return [
-        [
-            [format_gaussian(coeffs[p].entry(i, j)) for p in range(powers)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def linearization_to_json(lin):
-    return {
-        "n": lin.n,
-        "m": lin.m,
-        "a": _matrix_stack_to_json(lin.a_coeffs, lin.n),
-        "b": _matrix_stack_to_json(lin.b_coeffs, lin.n),
-        "u": [format_gaussian(c) for c in lin.u],
-        "v": [format_gaussian(c) for c in lin.v],
-    }
-
-
-def _scalar_from_json(value, what):
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError("%s must be an exact rational string" % what)
-    if isinstance(value, int):
-        return GaussianRational(value)
-    if isinstance(value, str):
-        return parse_gaussian(value)
-    raise ParseError("%s must be an exact rational string" % what)
-
-
-def _matrix_stack_from_json(data, n, what):
-    if not isinstance(data, list) or len(data) != n:
-        raise ParseError("%s must be an %dx%d nested array" % (what, n, n))
-    powers = 1
-    parsed = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != n:
-            raise ParseError("%s row %d has wrong length" % (what, i))
-        prow = []
-        for j, cell in enumerate(row):
-            if isinstance(cell, list):
-                entry = [_scalar_from_json(c, what) for c in cell]
-            else:
-                entry = [_scalar_from_json(cell, what)]
-            powers = max(powers, len(entry))
-            prow.append(entry)
-        parsed.append(prow)
-    out = []
-    for power in range(powers):
-        rows = tuple(
-            tuple(
-                parsed[i][j][power] if power < len(parsed[i][j]) else GQ_ZERO
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        out.append(SquareMatrix(rows))
-    return out
-
-
-def linearization_from_json(data):
-    if not isinstance(data, dict):
-        raise ParseError("linearization must be a JSON object")
-    n = data.get("n")
-    m = data.get("m")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError("linearization needs a positive integer 'n'")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ParseError("linearization needs a positive integer 'm'")
-    a = _matrix_stack_from_json(data.get("a"), n, "matrix a")
-    b = _matrix_stack_from_json(data.get("b"), n, "matrix b")
-    u = data.get("u")
-    v = data.get("v")
-    if not isinstance(u, list) or not isinstance(v, list):
-        raise ParseError("linearization needs 'u' and 'v' vectors")
-    u = [_scalar_from_json(c, "vector u") for c in u]
-    v = [_scalar_from_json(c, "vector v") for c in v]
-    try:
-        return Linearization(n, m, a, b, u, v)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from None

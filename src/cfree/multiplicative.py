@@ -23,7 +23,8 @@ property, checked in the tests, is multiplicativity over the product.
 from __future__ import annotations
 
 from .cumulants import boolean_from_moments, eta_series
-from .errors import DomainError, InternalError
+from .engine import _settle
+from .errors import DomainError
 from .scalars import GQ_ONE, GQ_ZERO
 from .series import TruncSeries
 
@@ -82,19 +83,15 @@ def subordination_pair(spec, order):
         )
     eta_x = spec.eta("x", "psi")
     eta_y = spec.eta("y", "psi")
-    omega_x = TruncSeries.constant(GQ_ZERO, order)
-    omega_y = omega_x
-    for _ in range(order + 1):
-        omega_x, omega_y = (
-            _advance(eta_y, omega_y, order),
-            _advance(eta_x, omega_x, order),
-        )
-    again = (_advance(eta_y, omega_y, order), _advance(eta_x, omega_x, order))
-    if again != (omega_x, omega_y):
-        raise InternalError(
-            "subordination fixed point failed to stabilize after %d sweeps"
-            % (order + 2)
-        )
+    zero = TruncSeries.constant(GQ_ZERO, order)
+    omega_x, omega_y = _settle(
+        lambda pair: (
+            _advance(eta_y, pair[1], order),
+            _advance(eta_x, pair[0], order),
+        ),
+        (zero, zero),
+        order + 1,
+    )
     return SubordinationPair(omega_x, omega_y)
 
 

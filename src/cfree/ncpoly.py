@@ -1,10 +1,9 @@
-"""The free algebra Q(i)<x,y>: words, polynomials, tensors, derivations.
+"""The free algebra Q(i)<x,y>: words, polynomials, printing and parsing.
 
 Words are plain strings over the alphabet {x, y} ("" is the empty word).
 An NCPolynomial maps words to Gaussian-rational coefficients; zero
-coefficients are never stored.  TensorPoly is the same thing for k-fold
-tensors, keyed by tuples of words; it hosts the free difference quotient
-and its one-sided variants.
+coefficients are never stored.  format_poly and parse_poly convert
+between polynomials and the text grammar that the command line reads.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .scalars import (
     format_gaussian,
     parse_rational,
 )
-from .series import SquareMatrix, TruncSeries
 
 ALPHABET = ("x", "y")
 
@@ -51,24 +49,35 @@ def _coerce_coeff(value):
     return None
 
 
+def _accumulate(data, items):
+    """Add (word, coeff) pairs into data, dropping every zero sum."""
+    for word, coeff in items:
+        if coeff.is_zero():
+            continue
+        if word in data:
+            coeff = data[word] + coeff
+            if coeff.is_zero():
+                del data[word]
+                continue
+        data[word] = coeff
+    return data
+
+
+def _poly(data):
+    """Wrap a word -> nonzero coefficient dict whose words are known valid."""
+    poly = NCPolynomial.__new__(NCPolynomial)
+    object.__setattr__(poly, "terms", data)
+    return poly
+
+
 class NCPolynomial:
     """A finite Q(i)-linear combination of words in x and y."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for word, coeff in items:
-            check_word(word)
-            if coeff.is_zero():
-                continue
-            if word in data:
-                coeff = data[word] + coeff
-                if coeff.is_zero():
-                    del data[word]
-                    continue
-            data[word] = coeff
+        data = _accumulate({}, ((check_word(w), c) for w, c in items))
         object.__setattr__(self, "terms", data)
 
     def __setattr__(self, name, value):
@@ -136,17 +145,7 @@ class NCPolynomial:
             other = NCPolynomial.scalar(other)
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            if w in data:
-                s = data[w] + c
-                if s.is_zero():
-                    del data[w]
-                else:
-                    data[w] = s
-            else:
-                data[w] = c
-        return NCPolynomial(data)
+        return _poly(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -161,30 +160,22 @@ class NCPolynomial:
         return (-self) + other
 
     def __neg__(self):
-        return NCPolynomial({w: -c for w, c in self.terms.items()})
+        return _poly({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         c = _coerce_coeff(other)
         if c is not None:
             if c.is_zero():
                 return _ZERO
-            return NCPolynomial({w: k * c for w, k in self.terms.items()})
+            return _poly({w: k * c for w, k in self.terms.items()})
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        data = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa + wb
-                c = ca * cb
-                if w in data:
-                    s = data[w] + c
-                    if s.is_zero():
-                        del data[w]
-                    else:
-                        data[w] = s
-                else:
-                    data[w] = c
-        return NCPolynomial(data)
+        products = (
+            (wa + wb, ca * cb)
+            for wa, ca in self.terms.items()
+            for wb, cb in other.terms.items()
+        )
+        return _poly(_accumulate({}, products))
 
     def __rmul__(self, other):
         c = _coerce_coeff(other)
@@ -192,7 +183,7 @@ class NCPolynomial:
             return NotImplemented
         if c.is_zero():
             return _ZERO
-        return NCPolynomial({w: c * k for w, k in self.terms.items()})
+        return _poly({w: c * k for w, k in self.terms.items()})
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -209,9 +200,7 @@ class NCPolynomial:
 
     def star(self):
         """The *-involution: reverse each word, conjugate each coefficient."""
-        return NCPolynomial(
-            {w[::-1]: c.conjugate() for w, c in self.terms.items()}
-        )
+        return _poly({w[::-1]: c.conjugate() for w, c in self.terms.items()})
 
     def inverse(self):
         """Defined for nonzero constants only (matrix pivots need this)."""
@@ -251,10 +240,8 @@ class NCPolynomial:
         return "NCPolynomial(%r)" % format_poly(self)
 
 
-_ZERO = NCPolynomial.__new__(NCPolynomial)
-object.__setattr__(_ZERO, "terms", {})
-_ONE = NCPolynomial.__new__(NCPolynomial)
-object.__setattr__(_ONE, "terms", {"": GQ_ONE})
+_ZERO = _poly({})
+_ONE = _poly({"": GQ_ONE})
 
 X = NCPolynomial.letter("x")
 Y = NCPolynomial.letter("y")
@@ -314,14 +301,19 @@ def format_poly(poly):
 #   atom   := 'x' | 'y' | 'i' | rational | '(' expr ')'
 #
 # Multiplication is explicit; whitespace is insignificant.  ParseError
-# carries the byte offset of the offending character.
+# carries the byte offset of the offending character.  Parentheses and
+# unary minus signs nest at most _MAX_NESTING deep, so the recursive
+# descent stays far from the interpreter's recursion limit.
 # ---------------------------------------------------------------------------
+
+_MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise ParseError(message, position=self.pos)
@@ -335,11 +327,6 @@ class _Parser:
         if self.pos >= len(self.text):
             return ""
         return self.text[self.pos]
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
 
     def expect(self, ch):
         got = self.peek()
@@ -374,10 +361,19 @@ class _Parser:
             value = value * self.factor()
         return value
 
+    def nested(self, parse):
+        """Step over the opening character at pos and parse one level deeper."""
+        if self.depth == _MAX_NESTING:
+            self.error("nesting deeper than %d" % _MAX_NESTING)
+        self.depth += 1
+        self.pos += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
     def factor(self):
         if self.peek() == "-":
-            self.pos += 1
-            return -self.factor()
+            return -self.nested(self.factor)
         return self.power()
 
     def power(self):
@@ -402,8 +398,7 @@ class _Parser:
         if ch == "":
             self.error("unexpected end of input")
         if ch == "(":
-            self.pos += 1
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect(")")
             return inner
         if ch in ALPHABET:
@@ -443,321 +438,3 @@ class _Parser:
 def parse_poly(text):
     """Parse the polynomial grammar above; raises ParseError with offset."""
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# tensors and derivations
-# ---------------------------------------------------------------------------
-
-
-class TensorPoly:
-    """Linear combinations of k-fold elementary tensors of words.
-
-    Keys are tuples of words, all of one arity; multiplication is
-    componentwise concatenation, matching (a (x) b)(c (x) d) = ac (x) bd.
-    """
-
-    __slots__ = ("arity", "terms")
-
-    def __init__(self, arity, terms=()):
-        if arity < 1:
-            raise DomainError("tensor arity must be >= 1")
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            key = tuple(key)
-            if len(key) != arity:
-                raise DomainError("tensor key %r has wrong arity" % (key,))
-            for w in key:
-                check_word(w)
-            if coeff.is_zero():
-                continue
-            if key in data:
-                coeff = data[key] + coeff
-                if coeff.is_zero():
-                    del data[key]
-                    continue
-            data[key] = coeff
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorPoly is immutable")
-
-    @classmethod
-    def zero(cls, arity=2):
-        return cls(arity)
-
-    @classmethod
-    def one(cls, arity=2):
-        return cls(arity, ((("",) * arity, GQ_ONE),))
-
-    def is_zero(self):
-        return not self.terms
-
-    def zero_like(self):
-        return TensorPoly(self.arity)
-
-    def one_like(self):
-        return TensorPoly.one(self.arity)
-
-    def _check(self, other):
-        if self.arity != other.arity:
-            raise DomainError("tensor arity mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        self._check(other)
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            if k in data:
-                s = data[k] + c
-                if s.is_zero():
-                    del data[k]
-                else:
-                    data[k] = s
-            else:
-                data[k] = c
-        return TensorPoly(self.arity, data)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorPoly(self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        c = _coerce_coeff(other)
-        if c is not None:
-            return TensorPoly(
-                self.arity, {k: v * c for k, v in self.terms.items()}
-            )
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        self._check(other)
-        data = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                c = ca * cb
-                if key in data:
-                    s = data[key] + c
-                    if s.is_zero():
-                        del data[key]
-                    else:
-                        data[key] = s
-                else:
-                    data[key] = c
-        return TensorPoly(self.arity, data)
-
-    def __rmul__(self, other):
-        c = _coerce_coeff(other)
-        if c is None:
-            return NotImplemented
-        return TensorPoly(self.arity, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
-    def component_apply(self, fns):
-        """sum c * prod_i fns[i](word_i): scalar multilinear evaluation."""
-        if len(fns) != self.arity:
-            raise DomainError("need one functional per tensor slot")
-        acc = GQ_ZERO
-        for key, c in self.terms.items():
-            value = c
-            for fn, w in zip(fns, key):
-                value = value * fn(w)
-                if value.is_zero():
-                    break
-            acc = acc + value
-        return acc
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (sum(map(len, k)), k)):
-            c = self.terms[key]
-            body = " (x) ".join(format_word(w) for w in key)
-            parts.append("(%s)*[%s]" % (format_gaussian(c), body))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def free_diff_word(word, letter):
-    """Free difference quotient on one word: sum over letter positions."""
-    out = []
-    for k, ch in enumerate(word):
-        if ch == letter:
-            out.append(((word[:k], word[k + 1 :]), GQ_ONE))
-    return out
-
-
-def free_diff(poly, letter):
-    """The free difference quotient d_letter: removes one marked letter.
-
-    d(x^n) = sum_{k=0}^{n-1} x^k (x) x^{n-1-k}; a derivation for the
-    bimodule product, and zero on the other letter.
-    """
-    check_word(letter)
-    data = {}
-    for word, c in poly.terms.items():
-        for key, unit in free_diff_word(word, letter):
-            if key in data:
-                s = data[key] + c
-                if s.is_zero():
-                    del data[key]
-                else:
-                    data[key] = s
-            else:
-                data[key] = c
-    return TensorPoly(2, data)
-
-
-def partial_diff(poly, letter, k=1):
-    """d_letter^k, a (k+1)-fold tensor; k = 1 is the difference quotient."""
-    if k == 1:
-        return free_diff(poly, letter)
-    return iterated_free_diff(poly, letter, k)
-
-
-def rdelta(poly, letter):
-    """(1 (x) letter) * d_letter: splits W = U.letter.V into U (x) letter V."""
-    check_word(letter)
-    data = {}
-    for word, c in poly.terms.items():
-        for k, ch in enumerate(word):
-            if ch != letter:
-                continue
-            key = (word[:k], word[k:])
-            if key in data:
-                s = data[key] + c
-                if s.is_zero():
-                    del data[key]
-                else:
-                    data[key] = s
-            else:
-                data[key] = c
-    return TensorPoly(2, data)
-
-
-def ldelta(poly, letter):
-    """(letter (x) 1) * d_letter: splits W = U.letter.V into U letter (x) V."""
-    check_word(letter)
-    data = {}
-    for word, c in poly.terms.items():
-        for k, ch in enumerate(word):
-            if ch != letter:
-                continue
-            key = (word[: k + 1], word[k + 1 :])
-            if key in data:
-                s = data[key] + c
-                if s.is_zero():
-                    del data[key]
-                else:
-                    data[key] = s
-            else:
-                data[key] = c
-    return TensorPoly(2, data)
-
-
-def iterated_free_diff(poly, letter, k):
-    """d^k by repeated application to the last tensor slot.
-
-    Coassociativity makes the slot choice irrelevant; this one gives keys
-    (u_0, ..., u_k) with the removed letters read left to right.
-    """
-    if k < 1:
-        raise DomainError("iterated difference quotient needs k >= 1")
-    current = free_diff(poly, letter)
-    for _ in range(k - 1):
-        data = {}
-        for key, c in current.terms.items():
-            last = key[-1]
-            for (u, v), unit in free_diff_word(last, letter):
-                new_key = key[:-1] + (u, v)
-                if new_key in data:
-                    s = data[new_key] + c
-                    if s.is_zero():
-                        del data[new_key]
-                    else:
-                        data[new_key] = s
-                else:
-                    data[new_key] = c
-        current = TensorPoly(current.arity + 1, data)
-    return current
-
-
-# ---------------------------------------------------------------------------
-# matrix amplification
-#
-# Entrywise derivations of polynomial matrices, and the (.) product that
-# contracts matrix indices while tensoring entries:
-#   (A (.) B)_{ij} = sum_k A_{ik} (x) B_{kj}.
-# ---------------------------------------------------------------------------
-
-
-def amplified_diff(matrix, letter, which="free"):
-    """Apply a derivation entrywise to a matrix of polynomials."""
-    fns = {
-        "free": free_diff,
-        "right": rdelta,
-        "left": ldelta,
-    }
-    try:
-        fn = fns[which]
-    except KeyError:
-        raise DomainError("unknown derivation kind %r" % (which,)) from None
-    return matrix.map(lambda e: fn(e, letter))
-
-
-def _poly_to_tensor(poly, side):
-    """Lift a polynomial entry into arity-2 tensors as p (x) 1 or 1 (x) p."""
-    data = {}
-    for w, c in poly.terms.items():
-        key = (w, "") if side == "left" else ("", w)
-        data[key] = c
-    return TensorPoly(2, data)
-
-
-def odot(a, b):
-    """(A (.) B)_{ij} = sum_k A_{ik} (x) B_{kj} for polynomial matrices."""
-    if a.n != b.n:
-        raise DomainError("matrix size mismatch")
-    n = a.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = TensorPoly(2)
-            for k in range(n):
-                left = a.entry(i, k)
-                right = b.entry(k, j)
-                if left.is_zero() or right.is_zero():
-                    continue
-                acc = acc + _poly_to_tensor(left, "left") * _poly_to_tensor(
-                    right, "right"
-                )
-            row.append(acc)
-        out.append(tuple(row))
-    return SquareMatrix(tuple(out))
-
-
-def lift_left(matrix):
-    """A (.) 1 entrywise: each polynomial entry becomes entry (x) 1."""
-    return matrix.map(lambda e: _poly_to_tensor(e, "left"))
-
-
-def lift_right(matrix):
-    """1 (.) B entrywise: each polynomial entry becomes 1 (x) entry."""
-    return matrix.map(lambda e: _poly_to_tensor(e, "right"))

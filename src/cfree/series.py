@@ -11,7 +11,7 @@ different orders truncate to the smaller order.
 from __future__ import annotations
 
 from .errors import DomainError
-from .scalars import GQ_ONE, GQ_ZERO, GaussianRational
+from .scalars import GQ_ONE, GQ_ZERO
 
 
 class TruncSeries:

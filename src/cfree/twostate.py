@@ -22,12 +22,10 @@ import math
 from fractions import Fraction
 
 from .cumulants import (
-    CumulantSeq,
     MomentSeq,
     boolean_from_moments,
     cfree_from_two_moments,
     eta_series,
-    eta_tilde_series,
     free_from_moments,
 )
 from .errors import DomainError, LimitError, ParseError
@@ -115,9 +113,6 @@ class TwoStateSpec:
     def eta(self, letter, state="psi", order=None):
         return eta_series(self.boolean_cumulants(letter, state), order)
 
-    def eta_tilde(self, letter, state="psi", order=None):
-        return eta_tilde_series(self.boolean_cumulants(letter, state), order)
-
     # -- joint moments --------------------------------------------------------
 
     def _chains(self, word):
@@ -141,7 +136,9 @@ class TwoStateSpec:
                     prev = rows[s][k - 2]
                     if prev.is_zero():
                         continue
-                    gap = self._psi_word(word[positions[s] + 1 : j])
+                    gap = self._word_moment(
+                        word[positions[s] + 1 : j], self._r_psi, self._psi_memo
+                    )
                     acc = acc + prev * gap
                 row.append(acc)
             rows.append(row)
@@ -149,36 +146,25 @@ class TwoStateSpec:
         self._chain_memo[word] = result
         return result
 
-    def _psi_word(self, word):
-        value = self._psi_memo.get(word)
+    def _word_moment(self, word, cumulants, memo):
+        """Chain sum of the word with the outer block weighted by cumulants.
+
+        (self._r_psi, self._psi_memo) gives psi(word) and (self._r_cfree,
+        self._phi_memo) gives phi(word); gaps always recurse under psi.
+        """
+        value = memo.get(word)
         if value is not None:
             return value
-        r = self._r_psi[word[0]]
+        r = cumulants[word[0]]
         total = GQ_ZERO
         for tail_start, chain in self._chains(word):
-            tail = self._psi_word(word[tail_start:])
+            tail = self._word_moment(word[tail_start:], cumulants, memo)
             if tail.is_zero():
                 continue
             for k, weight in enumerate(chain, start=1):
                 if not weight.is_zero():
                     total = total + weight * r.value(k) * tail
-        self._psi_memo[word] = total
-        return total
-
-    def _phi_word(self, word):
-        value = self._phi_memo.get(word)
-        if value is not None:
-            return value
-        rc = self._r_cfree[word[0]]
-        total = GQ_ZERO
-        for tail_start, chain in self._chains(word):
-            tail = self._phi_word(word[tail_start:])
-            if tail.is_zero():
-                continue
-            for k, weight in enumerate(chain, start=1):
-                if not weight.is_zero():
-                    total = total + weight * rc.value(k) * tail
-        self._phi_memo[word] = total
+        memo[word] = total
         return total
 
     def moment(self, state, word, guard=None):
@@ -194,7 +180,9 @@ class TwoStateSpec:
             raise DomainError(
                 "word length %d exceeds spec order %d" % (len(word), self.order)
             )
-        return self._psi_word(word) if state == "psi" else self._phi_word(word)
+        if state == "psi":
+            return self._word_moment(word, self._r_psi, self._psi_memo)
+        return self._word_moment(word, self._r_cfree, self._phi_memo)
 
     def psi_moment(self, word, guard=None):
         return self.moment("psi", word, guard)

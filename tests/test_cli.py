@@ -148,6 +148,30 @@ def test_moments_constant_term_is_domain_error(spec_files, capsys):
     assert "cfree:" in err
 
 
+def test_moments_deep_nesting_is_parse_error(spec_files, capsys):
+    def moments(poly):
+        return run(
+            capsys,
+            "moments",
+            "--poly=" + poly,
+            "--spec",
+            spec_files["twostate"],
+            "--order",
+            "2",
+        )
+
+    for poly in ("(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"):
+        code, out, err = moments(poly)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cfree: nesting deeper than")
+        assert err.count("\n") == 1
+    code, out, err = moments("(" * 50 + "x" + ")" * 50)
+    assert code == 0
+    assert out == '{"moments":["0","1"]}\n'
+    assert err == ""
+
+
 def test_cumulants_kinds(spec_files, capsys):
     code, out, _ = run(
         capsys,

@@ -13,13 +13,13 @@ import pytest
 from cfree.cumulants import boolean_from_moments, eta_series
 from cfree.engine import (
     EngineState,
-    mgf,
+    _settle,
     phi_resolvents,
     poly_distribution,
     resolvent_series,
     solve_fixed_point,
 )
-from cfree.errors import DomainError
+from cfree.errors import DomainError, InternalError
 from cfree.linearize import linearize
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, gq
@@ -256,9 +256,17 @@ def test_solve_is_deterministic_and_state_immutable():
     assert st1.m_phi == st2.m_phi and st1.f_x == st2.f_x
     with pytest.raises(AttributeError):
         st1.order = 3
-    assert mgf(st1, "psi") is st1.m_psi
+    assert st1.mgf("psi") is st1.m_psi
     with pytest.raises(DomainError):
         st1.mgf("tau")
+
+
+def test_settle_certificate_rejects_a_step_that_never_settles():
+    # Engine and subordination both trust this gate: after the fixed
+    # number of sweeps, one more must change nothing.
+    with pytest.raises(InternalError, match="failed to stabilize after 4 sweeps"):
+        _settle(lambda k: k + 1, 0, 3)
+    assert _settle(lambda k: min(k + 1, 2), 0, 3) == 2
 
 
 def test_dimension_mismatch_rejected():

@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-from cfree.errors import DomainError, ParseError
+from cfree.errors import DomainError
 from cfree.linearize import (
     Linearization,
     geometric_corner,
-    linearization_from_json,
-    linearization_to_json,
     linearize,
     verify_linearization,
 )
@@ -119,48 +117,3 @@ def test_negative_control():
     assert not result.ok
     assert result.first_mismatch is not None
     assert not bool(result)
-
-
-def test_json_round_trip():
-    p = X * Y + X
-    lin = linearize(p)
-    data = linearization_to_json(lin)
-    again = linearization_from_json(data)
-    assert verify_linearization(again, p, 8)
-    assert again.n == lin.n
-    assert again.m == lin.m
-    order = 6
-    assert lin.resolvent_corner(order) == again.resolvent_corner(order)
-
-
-def test_json_scalar_cells():
-    data = {
-        "n": 1,
-        "m": 1,
-        "a": [["1"]],
-        "b": [[1]],
-        "u": ["1"],
-        "v": [1],
-    }
-    lin = linearization_from_json(data)
-    assert verify_linearization(lin, X + Y, 5)
-
-
-def test_json_rejects():
-    with pytest.raises(ParseError):
-        linearization_from_json([])
-    with pytest.raises(ParseError):
-        linearization_from_json({"n": 0, "m": 1, "a": [], "b": [], "u": [], "v": []})
-    with pytest.raises(ParseError):
-        linearization_from_json(
-            {"n": 1, "m": 1, "a": [[0.5]], "b": [[0]], "u": [1], "v": [1]}
-        )
-    with pytest.raises(ParseError):
-        linearization_from_json(
-            {"n": 2, "m": 1, "a": [[0]], "b": [[0]], "u": [1], "v": [1]}
-        )
-    # u/v length mismatch surfaces as a ParseError, not a crash
-    with pytest.raises(ParseError):
-        linearization_from_json(
-            {"n": 1, "m": 1, "a": [[0]], "b": [[0]], "u": [1, 2], "v": [1]}
-        )

@@ -4,23 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cfree.errors import DomainError, ParseError
-from cfree.ncpoly import (
-    NCPolynomial,
-    TensorPoly,
-    amplified_diff,
-    block_factorize,
-    format_poly,
-    free_diff,
-    ldelta,
-    lift_left,
-    lift_right,
-    odot,
-    parse_poly,
-    partial_diff,
-    rdelta,
-)
-from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, gq
-from cfree.series import SquareMatrix
+from cfree.ncpoly import NCPolynomial, block_factorize, format_poly, parse_poly
+from cfree.scalars import GQ_I, GQ_ONE, gq
 
 X = NCPolynomial.letter("x")
 Y = NCPolynomial.letter("y")
@@ -33,16 +18,6 @@ def rand_poly(rng, max_deg=4, max_terms=5):
         w = "".join(rng.choice("xy") for _ in range(rng.randint(0, max_deg)))
         terms[w] = gq(rng.randint(-5, 5), rng.randint(-2, 2))
     return NCPolynomial(terms)
-
-
-def tensor_right(p):
-    """1 (x) p."""
-    return TensorPoly(2, {("", w): c for w, c in p.terms.items()})
-
-
-def tensor_left(p):
-    """p (x) 1."""
-    return TensorPoly(2, {(w, ""): c for w, c in p.terms.items()})
 
 
 # -- algebra --------------------------------------------------------------
@@ -154,130 +129,3 @@ def test_format_round_trip():
         assert parse_poly(format_poly(p)) == p
     assert format_poly(NCPolynomial.zero()) == "0"
     assert format_poly(X * X * X * Y * Y) == "x^3*y^2"
-
-
-# -- derivations ----------------------------------------------------------
-
-
-def test_free_diff_frozen():
-    d = free_diff(X ** 3, "x")
-    assert d == TensorPoly(
-        2, {("", "xx"): GQ_ONE, ("x", "x"): GQ_ONE, ("xx", ""): GQ_ONE}
-    )
-    assert free_diff(X, "x") == TensorPoly.one()
-    assert free_diff(Y * X * Y, "x") == TensorPoly(2, {("y", "y"): GQ_ONE})
-    assert free_diff(Y, "x").is_zero()
-    assert free_diff(ONE, "x").is_zero()
-
-
-def test_partial_diff_iterated():
-    d2 = partial_diff(X ** 2, "x", 2)
-    assert d2 == TensorPoly(3, {("", "", ""): GQ_ONE})
-    d2 = partial_diff(X ** 3, "x", 2)
-    assert d2 == TensorPoly(
-        3,
-        {
-            ("", "", "x"): GQ_ONE,
-            ("", "x", ""): GQ_ONE,
-            ("x", "", ""): GQ_ONE,
-        },
-    )
-    assert partial_diff(X ** 2, "x") == free_diff(X ** 2, "x")
-    with pytest.raises(DomainError):
-        partial_diff(X, "x", 0)
-
-
-def test_deconcatenations_frozen():
-    assert rdelta(X ** 2, "x") == TensorPoly(
-        2, {("", "xx"): GQ_ONE, ("x", "x"): GQ_ONE}
-    )
-    assert ldelta(X ** 2, "x") == TensorPoly(
-        2, {("x", "x"): GQ_ONE, ("xx", ""): GQ_ONE}
-    )
-    assert rdelta(Y * X * Y, "x") == TensorPoly(2, {("y", "xy"): GQ_ONE})
-    assert ldelta(Y * X * Y, "x") == TensorPoly(2, {("yx", "y"): GQ_ONE})
-
-
-def test_counit_slot_recovers_letter_initial_part():
-    # keeping only tensors with empty first slot recovers the x-initial part
-    rng = random.Random(41)
-    for _ in range(30):
-        p = rand_poly(rng)
-        d = rdelta(p, "x")
-        left = {w: c for (u, w), c in d.terms.items() if u == ""}
-        expect = {w: c for w, c in p.terms.items() if w.startswith("x")}
-        assert left == expect
-
-
-def test_leibniz():
-    rng = random.Random(43)
-    for _ in range(30):
-        p = rand_poly(rng, max_deg=3)
-        q = rand_poly(rng, max_deg=3)
-        for letter in "xy":
-            lhs = free_diff(p * q, letter)
-            rhs = free_diff(p, letter) * tensor_right(q) + tensor_left(
-                p
-            ) * free_diff(q, letter)
-            assert lhs == rhs
-
-
-def test_coassociativity_on_monomials():
-    d = partial_diff(X ** 4, "x", 3)
-    assert d.arity == 4
-    # compositions of 4 - 3 = 1 over 4 slots
-    assert set(d.terms) == {
-        ("x", "", "", ""),
-        ("", "x", "", ""),
-        ("", "", "x", ""),
-        ("", "", "", "x"),
-    }
-    assert all(c == GQ_ONE for c in d.terms.values())
-
-
-def test_tensor_product_componentwise():
-    a = TensorPoly(2, {("x", "y"): GQ_ONE})
-    b = TensorPoly(2, {("y", "x"): gq(2)})
-    assert a * b == TensorPoly(2, {("xy", "yx"): gq(2)})
-    assert a + (-a) == TensorPoly.zero()
-    assert TensorPoly.one() * a == a
-
-
-def test_component_apply():
-    d = free_diff(X ** 3, "x")
-    total = d.component_apply([lambda w: gq(len(w) + 1)] * 2)
-    # slots (0,2),(1,1),(2,0): 1*3 + 2*2 + 3*1
-    assert total == gq(10)
-
-
-def test_amplified_diff_and_odot():
-    p = X * Y
-    q = Y
-    m = SquareMatrix(((p, q), (q, p)))
-    d = amplified_diff(m, "x")
-    assert d.entry(0, 0) == TensorPoly(2, {("", "y"): GQ_ONE})
-    assert d.entry(0, 1).is_zero()
-    with pytest.raises(DomainError):
-        amplified_diff(m, "x", which="sideways")
-
-    a = SquareMatrix(((X,),))
-    b = SquareMatrix(((Y,),))
-    assert odot(a, b).entry(0, 0) == TensorPoly(2, {("x", "y"): GQ_ONE})
-    assert lift_left(a).entry(0, 0) == TensorPoly(2, {("x", ""): GQ_ONE})
-    assert lift_right(b).entry(0, 0) == TensorPoly(2, {("", "y"): GQ_ONE})
-
-
-def test_matrix_leibniz():
-    rng = random.Random(47)
-    for _ in range(10):
-        a = SquareMatrix(
-            tuple(tuple(rand_poly(rng, 2, 2) for _ in range(2)) for _ in range(2))
-        )
-        b = SquareMatrix(
-            tuple(tuple(rand_poly(rng, 2, 2) for _ in range(2)) for _ in range(2))
-        )
-        lhs = amplified_diff(a * b, "x")
-        rhs = amplified_diff(a, "x") * lift_right(b) + lift_left(
-            a
-        ) * amplified_diff(b, "x")
-        assert lhs == rhs
