@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .condexp import efree_rec, efree_resolvent, rqce, rqce_resolvent
 from .cumulants import (
-    MomentSeq,
     boolean_from_moments,
     cfree_from_two_moments,
     free_from_moments,
@@ -32,26 +30,17 @@ from .cumulants import (
 from .denoise import distributions_of_poly, l2_project, weighted_state
 from .engine import poly_distribution
 from .errors import CFreeError, ParseError
-from .linearize import linearize, verify_linearization
-from .multiplicative import mgf_product_phi, sigma_transform
-from .ncpoly import NCPolynomial, parse_poly
+from .linearize import linearize
+from .multiplicative import sigma_symbols
+from .ncpoly import parse_poly
 from .partitions import (
     enumerate_interval,
     enumerate_irreducible,
     enumerate_nc,
     enumerate_nc_colored,
-    is_ll,
-    vnrp_closure,
 )
-from .scalars import GQ_ONE
-from .series import TruncSeries
-from .twostate import (
-    multilinear_boolean,
-    point_mass_moments,
-    random_spec,
-    spec_from_json,
-    vnrp_boolean_phi,
-)
+from .selfcheck import SUITES
+from .twostate import spec_from_json
 
 __all__ = ["main"]
 
@@ -74,8 +63,12 @@ def _load_spec(path):
             data = json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read spec file: %s" % exc) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("spec file is not UTF-8: %s" % exc) from None
     except json.JSONDecodeError as exc:
         raise ParseError("spec file is not valid JSON: %s" % exc) from None
+    except RecursionError:
+        raise ParseError("spec file nests too deeply") from None
     return spec_from_json(data)
 
 
@@ -121,17 +114,6 @@ def _cmd_cumulants(args):
     return 0, _render_series("values", label, values, args.format)
 
 
-def _resolvent_corner(spec, poly_text, state, order):
-    lin = linearize(parse_poly(poly_text))
-    if state == "psi":
-        series = efree_resolvent(spec, lin.a_coeffs, lin.b_coeffs, order)
-    else:
-        series = rqce_resolvent(spec, lin.a_coeffs, lin.b_coeffs, order)
-    u = [NCPolynomial.word("", c) for c in lin.u]
-    v = [NCPolynomial.word("", c) for c in lin.v]
-    return series.map(lambda mat: mat.apply_bilinear(u, v))
-
-
 def _cmd_condexp(args):
     spec = _load_spec(args.spec)
     if args.word is not None:
@@ -147,7 +129,9 @@ def _cmd_condexp(args):
         )
     if args.poly is None or args.order is None:
         raise ParseError("--resolvent needs both --poly and --order")
-    corner = _resolvent_corner(spec, args.poly, args.state, args.order)
+    lin = linearize(parse_poly(args.poly))
+    fn = efree_resolvent if args.state == "psi" else rqce_resolvent
+    corner = lin.corner(fn(spec, lin.a_coeffs, lin.b_coeffs, args.order))
     return 0, _dump(
         {"series": [_poly_terms(corner.coeff(k)) for k in range(args.order + 1)]}
     )
@@ -179,39 +163,18 @@ def _cmd_denoise(args):
     return 0, _dump(payload)
 
 
-def _product_marginals(spec, order):
-    phi_series = mgf_product_phi(spec, order)
-    phi = MomentSeq([phi_series.coeff(n) for n in range(1, order + 1)], "phi")
-    psi = MomentSeq(
-        [
-            spec.moment("psi", "xy" * n, guard=2 * order)
-            for n in range(1, order + 1)
-        ],
-        "psi",
-    )
-    return phi, psi
-
-
-def _sigma_payload(spec, order):
-    s_x = sigma_transform(
-        (spec.marginal("x", "phi"), spec.marginal("x", "psi")), order
-    )
-    s_y = sigma_transform(
-        (spec.marginal("y", "phi"), spec.marginal("y", "psi")), order
-    )
-    s_xy = sigma_transform(_product_marginals(spec, order), order)
-    residual = s_xy - s_x * s_y
-    return {
-        "sigma_x": _strings(s_x.coeffs),
-        "sigma_y": _strings(s_y.coeffs),
-        "sigma_xy": _strings(s_xy.coeffs),
-        "residual": _strings(residual.coeffs),
-    }
-
-
 def _cmd_sigma(args):
     spec = _load_spec(args.spec)
-    return 0, _dump(_sigma_payload(spec, args.order))
+    s_x, s_y, s_xy = sigma_symbols(spec, args.order)
+    residual = s_xy - s_x * s_y
+    return 0, _dump(
+        {
+            "sigma_x": _strings(s_x.coeffs),
+            "sigma_y": _strings(s_y.coeffs),
+            "sigma_xy": _strings(s_xy.coeffs),
+            "residual": _strings(residual.coeffs),
+        }
+    )
 
 
 def _cmd_partitions(args):
@@ -232,148 +195,20 @@ def _cmd_partitions(args):
     return 0, _dump({"count": len(blocks), "items": blocks})
 
 
-# -- self-check suites --------------------------------------------------------
-
-
-def _alternating(start, n):
-    other = "y" if start == "x" else "x"
-    return "".join(start if i % 2 == 0 else other for i in range(n))
-
-
-def _suite_vnrp():
-    checks, failures = 0, []
-    rng = random.Random(17)
-    for n in range(1, 5):
-        colorings = {"x" * n, _alternating("x", n)}
-        colorings.add("".join(rng.choice("xy") for _ in range(n)))
-        for colors in sorted(colorings):
-            compatible = enumerate_nc_colored(colors)
-            for sigma in compatible:
-                closed = vnrp_closure(sigma, colors)
-                ups = [rho for rho in compatible if is_ll(sigma, rho)]
-                maximal = [
-                    rho
-                    for rho in ups
-                    if all(rho == t or not is_ll(rho, t) for t in ups)
-                ]
-                checks += 1
-                if maximal != [closed]:
-                    failures.append(
-                        "closure is not the unique maximal element over %s"
-                        % colors
-                    )
-    for seed in (3, 5):
-        spec = random_spec(random.Random(seed), 6)
-        for n in range(1, 6):
-            for start in "xy":
-                word = _alternating(start, n)
-                args = tuple(word)
-                checks += 1
-                if vnrp_boolean_phi(spec, args, args) != multilinear_boolean(
-                    spec, "phi", args
-                ):
-                    failures.append(
-                        "partition sum differs from direct cumulant on %s"
-                        % word
-                    )
-    return checks, failures
-
-
-def _suite_sigma():
-    checks, failures = 0, []
-    for seed in (3, 19):
-        rng = random.Random(seed)
-        while True:
-            spec = random_spec(rng, 10)
-            if not spec.moment("psi", "x").is_zero() and not spec.moment(
-                "psi", "y"
-            ).is_zero():
-                break
-        payload = _sigma_payload(spec, 5)
-        checks += 1
-        if any(v != "0" for v in payload["residual"]):
-            failures.append("multiplicativity residual nonzero, seed %d" % seed)
-    unit = (
-        point_mass_moments(1, 5, "phi"),
-        point_mass_moments(1, 5, "psi"),
-    )
-    checks += 1
-    if sigma_transform(unit, 5) != TruncSeries.constant(GQ_ONE, 4):
-        failures.append("point mass does not give the constant symbol")
-    return checks, failures
-
-
-def _suite_linearization():
-    checks, failures = 0, []
-    fixed = [
-        "x + y",
-        "x*y",
-        "x*y + y*x",
-        "x^2 + y^2",
-        "i*(x*y - y*x)",
-        "(1/2)*x^3 - x*y*x + i*y",
-    ]
-    rng = random.Random(23)
-    pool = ["1", "-1", "i", "1/2", "1+i"]
-    for _ in range(4):
-        terms = []
-        for _ in range(rng.randint(2, 4)):
-            word = "".join(
-                rng.choice("xy") for _ in range(rng.randint(1, 3))
-            )
-            terms.append("(%s)*%s" % (rng.choice(pool), "*".join(word)))
-        fixed.append(" + ".join(terms))
-    for text in fixed:
-        p = parse_poly(text)
-        checks += 1
-        if not verify_linearization(linearize(p), p, 8).ok:
-            failures.append("resolvent corner mismatch for %s" % text)
-    return checks, failures
-
-
-def _suite_engine():
-    checks, failures = 0, []
-    for seed in (7, 11):
-        spec = random_spec(random.Random(seed), 8)
-        for text, count in (("x + y", 6), ("x*y", 4)):
-            p = parse_poly(text)
-            for state in ("phi", "psi"):
-                got = poly_distribution(spec, p, state, count)
-                power = NCPolynomial.one()
-                expected = []
-                for _ in range(count):
-                    power = power * p
-                    expected.append(spec.poly_moment(state, power))
-                checks += 1
-                if list(got.values) != expected:
-                    failures.append(
-                        "engine disagrees with the oracle on %s (%s)"
-                        % (text, state)
-                    )
-    return checks, failures
-
-
-_SUITES = {
-    "vnrp": _suite_vnrp,
-    "sigma": _suite_sigma,
-    "linearization": _suite_linearization,
-    "engine": _suite_engine,
-}
-
-
 def _cmd_verify(args):
-    suite = _SUITES.get(args.suite)
+    suite = SUITES.get(args.suite)
     if suite is None:
         raise ParseError(
             "unknown verify suite %r (choose from %s)"
-            % (args.suite, ", ".join(sorted(_SUITES)))
+            % (args.suite, ", ".join(sorted(SUITES)))
         )
-    checks, failures = suite()
+    results = list(suite())
+    failures = [message for ok, message in results if not ok]
     status = "pass" if not failures else "fail"
     text = _dump(
         {
             "suite": args.suite,
-            "checks": checks,
+            "checks": len(results),
             "failures": failures,
             "status": status,
         }
@@ -482,15 +317,35 @@ def _build_parser():
     p.set_defaults(handler=_cmd_partitions)
 
     p = sub.add_parser("verify", help="run a built-in self-check suite")
-    p.add_argument("suite", help="one of: %s" % ", ".join(sorted(_SUITES)))
+    p.add_argument("suite", help="one of: %s" % ", ".join(sorted(SUITES)))
     p.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
+_POLY_OPTIONS = ("--poly", "--target", "--weight")
+
+
+def _bind_poly_values(argv):
+    """Write each polynomial option and its value as one token, --poly=V.
+
+    argparse would take a separate value such as "-x*y" for an option.  A
+    next token that begins with "--" is left alone: the value is missing.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _POLY_OPTIONS and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_bind_poly_values(argv))
     except SystemExit as exc:
         code = exc.code
         if code is None:

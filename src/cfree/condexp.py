@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_GUARD = 10
+# The peeling recursions nest one call per letter: a fixed stack budget.
+_MAX_WORD = 500
 
 
 class CondExpResult:
@@ -91,6 +93,10 @@ def _checked_word(w, guard):
         raise LimitError(
             "word of length %d exceeds the guard %d; pass guard= to raise it"
             % (len(w), guard)
+        )
+    if len(w) > _MAX_WORD:
+        raise LimitError(
+            "word of length %d exceeds the ceiling %d" % (len(w), _MAX_WORD)
         )
     return w
 

@@ -28,8 +28,8 @@ at order N.  A spec of order >= N is exactly enough.
 from __future__ import annotations
 
 from .errors import DomainError, InternalError
-from .linearize import linearize
-from .ncpoly import NCPolynomial, parse_poly
+from .linearize import linearize, word_resolvent
+from .ncpoly import parse_poly
 from .scalars import GQ_ONE, GaussianRational
 from .series import SquareMatrix, TruncSeries
 from .cumulants import MomentSeq
@@ -100,24 +100,13 @@ def _z_times(series, order):
 def resolvent_series(a, b, order):
     """(I - z (A(z) X + B(z) Y))^{-1} as a matrix series over C<X,Y>.
 
-    Coefficients of the result are matrices with noncommutative polynomial
-    entries; the z^k coefficient collects every word of the expansion that
-    carries total z-weight k.
+    A and B take any form solve_fixed_point accepts.
     """
     a_s, n = _as_matrix_series(a, order)
     b_s, nb = _as_matrix_series(b, order)
     if nb != n:
         raise DomainError("A and B must have the same size")
-    x = NCPolynomial.letter("x")
-    y = NCPolynomial.letter("y")
-    lifted = []
-    for k in range(order + 1):
-        am = a_s.coeff(k).map(lambda c: c * x)
-        bm = b_s.coeff(k).map(lambda c: c * y)
-        lifted.append(am + bm)
-    l_series = TruncSeries(lifted)
-    ident = TruncSeries.constant(SquareMatrix.identity(n, NCPolynomial.one()), order)
-    return (ident - l_series.shift(1)).inverse()
+    return word_resolvent(a_s.coeffs, b_s.coeffs, n, order)
 
 
 class EngineState:

@@ -44,30 +44,33 @@ class Linearization:
     def __setattr__(self, name, value):
         raise AttributeError("Linearization is immutable")
 
-    def l_series(self, order):
-        """L(z) = A(z)X + B(z)Y with polynomial entries."""
-        x = NCPolynomial.letter("x")
-        y = NCPolynomial.letter("y")
-        zero = SquareMatrix.zeros(self.n, NCPolynomial.zero())
-        out = []
-        for k in range(order + 1):
-            mat = zero
-            if k < len(self.a_coeffs):
-                mat = mat + self.a_coeffs[k].map(lambda c: c * x)
-            if k < len(self.b_coeffs):
-                mat = mat + self.b_coeffs[k].map(lambda c: c * y)
-            out.append(mat)
-        return TruncSeries(out)
+    def corner(self, series):
+        """u^t S(z) v for a series S of matrices with polynomial entries."""
+        return series.map(lambda mat: mat.apply_bilinear(self.u, self.v))
 
     def resolvent_corner(self, order):
         """u^t (I - zL)^{-1} v as a polynomial-coefficient series."""
-        ident = SquareMatrix.identity(self.n, NCPolynomial.one())
-        l = self.l_series(order)
-        inner = TruncSeries.constant(ident, order) - l.shift(1)
-        resolvent = inner.inverse()
-        u = [NCPolynomial.word("", c) for c in self.u]
-        v = [NCPolynomial.word("", c) for c in self.v]
-        return resolvent.map(lambda mat: mat.apply_bilinear(u, v))
+        return self.corner(
+            word_resolvent(self.a_coeffs, self.b_coeffs, self.n, order)
+        )
+
+
+def word_resolvent(a_coeffs, b_coeffs, n, order):
+    """(I - zL)^{-1} for L(z) = A(z)X + B(z)Y, with polynomial entries.
+
+    a_coeffs and b_coeffs list the n x n scalar z-coefficients of A and
+    B; missing ones count as zero and those past the order are dropped.
+    The z^k coefficient collects the words of total z-weight k.
+    """
+    lifted = [SquareMatrix.zeros(n, NCPolynomial.zero())] * (order + 1)
+    for letter, stack in (("x", a_coeffs), ("y", b_coeffs)):
+        var = NCPolynomial.letter(letter)
+        for k, mat in enumerate(stack[: order + 1]):
+            lifted[k] = lifted[k] + mat.map(lambda c: c * var)
+    ident = TruncSeries.constant(
+        SquareMatrix.identity(n, NCPolynomial.one()), order
+    )
+    return (ident - TruncSeries(lifted).shift(1)).inverse()
 
 
 def linearize(p):
@@ -127,29 +130,12 @@ def linearize(p):
     return Linearization(n, m, build(a_entries), build(b_entries), unit, unit)
 
 
-class VerifyResult:
-    """Outcome of a linearization check; falsy when any order mismatched."""
-
-    __slots__ = ("ok", "first_mismatch")
-
-    def __init__(self, ok, first_mismatch=None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VerifyResult is immutable")
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "VerifyResult(ok)"
-        return "VerifyResult(mismatch at z^%d)" % self.first_mismatch
-
-
 def geometric_corner(p, m, order):
-    """sum_j z^{mj} P^j truncated: the target of every linearization."""
+    """sum_j z^{mj} P^j truncated: the target of every linearization.
+
+    A pencil lin realizes P to the order exactly when
+    lin.resolvent_corner(order) == geometric_corner(P, lin.m, order).
+    """
     zero = NCPolynomial.zero()
     coeffs = [zero] * (order + 1)
     power = NCPolynomial.one()
@@ -159,13 +145,3 @@ def geometric_corner(p, m, order):
         power = power * p
         j += 1
     return TruncSeries(coeffs)
-
-
-def verify_linearization(lin, p, order):
-    """Expand both sides to the given order and compare exactly."""
-    lhs = geometric_corner(p, lin.m, order)
-    rhs = lin.resolvent_corner(order)
-    for k in range(order + 1):
-        if lhs.coeff(k) != rhs.coeff(k):
-            return VerifyResult(False, k)
-    return VerifyResult(True)

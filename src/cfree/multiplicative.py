@@ -22,7 +22,7 @@ property, checked in the tests, is multiplicativity over the product.
 
 from __future__ import annotations
 
-from .cumulants import boolean_from_moments, eta_series
+from .cumulants import MomentSeq, boolean_from_moments, eta_series
 from .engine import _settle
 from .errors import DomainError
 from .scalars import GQ_ONE, GQ_ZERO
@@ -32,7 +32,9 @@ __all__ = [
     "SubordinationPair",
     "subordination_pair",
     "mgf_product_phi",
+    "product_marginals",
     "sigma_transform",
+    "sigma_symbols",
 ]
 
 
@@ -133,3 +135,28 @@ def sigma_transform(marginal, order):
     eta_phi = eta_series(boolean_from_moments(phi_m), order)
     inverse = eta_psi.revert()
     return eta_phi.compose_shifted(inverse).truncated(order - 1)
+
+
+def product_marginals(spec, order):
+    """The (phi, psi) moments of XY to the order; needs spec order 2*order."""
+    phi_series = mgf_product_phi(spec, order)
+    phi = MomentSeq([phi_series.coeff(n) for n in range(1, order + 1)], "phi")
+    psi = MomentSeq(
+        [
+            spec.moment("psi", "xy" * n, guard=2 * order)
+            for n in range(1, order + 1)
+        ],
+        "psi",
+    )
+    return phi, psi
+
+
+def sigma_symbols(spec, order):
+    """The symbols (sigma_X, sigma_Y, sigma_XY); sigma_XY = sigma_X sigma_Y."""
+    s_x = sigma_transform(
+        (spec.marginal("x", "phi"), spec.marginal("x", "psi")), order
+    )
+    s_y = sigma_transform(
+        (spec.marginal("y", "phi"), spec.marginal("y", "psi")), order
+    )
+    return s_x, s_y, sigma_transform(product_marginals(spec, order), order)

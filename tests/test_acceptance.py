@@ -33,10 +33,10 @@ from cfree.cumulants import (
 )
 from cfree.denoise import condexp_verify, l2_project
 from cfree.engine import poly_distribution, resolvent_series, solve_fixed_point
-from cfree.linearize import Linearization, linearize, verify_linearization
+from cfree.linearize import Linearization, geometric_corner, linearize
 from cfree.multiplicative import (
-    mgf_product_phi,
-    sigma_transform,
+    product_marginals,
+    sigma_symbols,
     subordination_pair,
 )
 from cfree.ncpoly import NCPolynomial, parse_poly
@@ -48,6 +48,12 @@ from cfree.partitions import (
     vnrp_closure,
 )
 from cfree.scalars import GQ_ONE, GQ_ZERO, GaussianRational, gq
+from cfree.selfcheck import (
+    alternating,
+    ll_maximal,
+    nonzero_mean_spec,
+    oracle_moments,
+)
 from cfree.series import SquareMatrix, TruncSeries
 from cfree.twostate import (
     TwoStateSpec,
@@ -72,11 +78,6 @@ def gq_list(values):
     return [GaussianRational(v) for v in values]
 
 
-def alternating(start, n):
-    other = "y" if start == "x" else "x"
-    return "".join(start if i % 2 == 0 else other for i in range(n))
-
-
 def apply_linear(spec, fn, poly):
     out = NCPolynomial.zero()
     for word, coeff in poly.terms.items():
@@ -97,10 +98,7 @@ def test_criterion_1_commutator_distribution():
     got = poly_distribution(spec, p, "psi", 6)
     assert list(got.values) == gq_list([0, 2, 0, 8, 0, 40])
     # independent oracle: direct word expansion of the powers
-    power = NCPolynomial.one()
-    for n in range(1, 7):
-        power = power * p
-        assert got.moment(n) == spec.poly_moment("psi", power)
+    assert list(got.values) == oracle_moments(spec, p, "psi", 6)
     finish(1, "commutator distribution", start, 10)
 
 
@@ -131,10 +129,8 @@ def test_criterion_3_engine_oracle_equivalence():
             count = 8 // p.degree()
             for state in ("phi", "psi"):
                 got = poly_distribution(spec, p, state, count)
-                power = NCPolynomial.one()
-                for n in range(1, count + 1):
-                    power = power * p
-                    assert got.moment(n) == spec.poly_moment(state, power)
+                expected = oracle_moments(spec, p, state, count)
+                assert list(got.values) == expected
     finish(3, "engine equals oracle on 20 specs", start, 300)
 
 
@@ -157,13 +153,7 @@ def test_criterion_4_vnrp_theorem():
             compatible = enumerate_nc_colored(colors)
             for sigma in compatible:
                 closed = vnrp_closure(sigma, colors)
-                ups = [rho for rho in compatible if is_ll(sigma, rho)]
-                maximal = [
-                    rho
-                    for rho in ups
-                    if all(rho == t or not is_ll(rho, t) for t in ups)
-                ]
-                assert maximal == [closed]
+                assert ll_maximal(sigma, compatible) == [closed]
     finish(4, "partition sum and closure maximality", start, 120)
 
 
@@ -185,14 +175,16 @@ def test_criterion_5_linearization():
             p = p + NCPolynomial.word(word, rng.choice(pool))
         if p.is_zero():
             p = NCPolynomial.word("xy")
-        assert verify_linearization(linearize(p), p, 10).ok
+        lin = linearize(p)
+        assert lin.resolvent_corner(10) == geometric_corner(p, lin.m, 10)
     # the hand-built 3x3 pencil realizing the commutator at m = 2
     i, zero, one = gq(0, 1), GQ_ZERO, GQ_ONE
     c_x = SquareMatrix(((zero, zero, i), (one, zero, zero), (zero, zero, zero)))
     c_y = SquareMatrix(((zero, -i, zero), (zero, zero, zero), (one, zero, zero)))
     e1 = (one, zero, zero)
     pencil = Linearization(3, 2, (c_x,), (c_y,), e1, e1)
-    assert verify_linearization(pencil, parse_poly(COMMUTATOR), 10).ok
+    expected = geometric_corner(parse_poly(COMMUTATOR), 2, 10)
+    assert pencil.resolvent_corner(10) == expected
     finish(5, "50 random pencils and the explicit one", start, 60)
 
 
@@ -267,42 +259,16 @@ def test_criterion_6_conditional_expectation_formulas():
 
 def test_criterion_7_sigma_transform():
     start = time.monotonic()
-
-    def nonzero_mean_spec(rng, order):
-        while True:
-            s = random_spec(rng, order)
-            if not s.moment("psi", "x").is_zero() and not s.moment(
-                "psi", "y"
-            ).is_zero():
-                return s
-
     rng = random.Random(77)
     for trial in range(10):
-        spec = nonzero_mean_spec(rng, 14)
-        s_x = sigma_transform(
-            (spec.marginal("x", "phi"), spec.marginal("x", "psi")), 7
-        )
-        s_y = sigma_transform(
-            (spec.marginal("y", "phi"), spec.marginal("y", "psi")), 7
-        )
-        phi = MomentSeq(
-            [mgf_product_phi(spec, 7).coeff(n) for n in range(1, 8)], "phi"
-        )
-        psi = MomentSeq(
-            [spec.moment("psi", "xy" * n, guard=14) for n in range(1, 8)],
-            "psi",
-        )
-        s_xy = sigma_transform((phi, psi), 7)
+        s_x, s_y, s_xy = sigma_symbols(nonzero_mean_spec(rng, 14), 7)
         assert s_xy == (s_x * s_y).truncated(6)
     # subordination: the product's Boolean transform factors through omega
     rng = random.Random(99)
     for trial in range(2):
         spec = nonzero_mean_spec(rng, 16)
         pair = subordination_pair(spec, 8)
-        product = MomentSeq(
-            [spec.moment("psi", "xy" * n, guard=16) for n in range(1, 9)],
-            "psi",
-        )
+        _, product = product_marginals(spec, 8)
         lhs = eta_series(boolean_from_moments(product))
         assert lhs == spec.eta("x", "psi", order=8).compose(pair.omega_x)
         assert lhs == spec.eta("y", "psi", order=8).compose(pair.omega_y)

@@ -11,10 +11,11 @@ import sys
 
 import pytest
 
+from cfree import selfcheck
 from cfree.cli import main
 from cfree.condexp import efree_resolvent, rqce
 from cfree.linearize import linearize
-from cfree.ncpoly import NCPolynomial, parse_poly
+from cfree.ncpoly import parse_poly
 from cfree.twostate import spec_from_json
 
 SPEC20 = {
@@ -172,6 +173,22 @@ def test_moments_deep_nesting_is_parse_error(spec_files, capsys):
     assert err == ""
 
 
+def test_poly_values_may_begin_with_minus(spec_files, capsys):
+    spec = ["--spec", spec_files["twostate"]]
+    denoise = ["denoise", "--degree", "2", "--poly", "x*y"] + spec
+    for argv, option, value in (
+        (["moments", "--order", "4"] + spec, "--poly", "-x*y"),
+        (denoise, "--target", "-x^2"),
+        (denoise + ["--target", "x", "--order", "4"], "--weight", "-1+2*x^2"),
+    ):
+        joined = run(capsys, *argv, option + "=" + value)
+        assert joined[0] == 0
+        assert run(capsys, *argv, option, value) == joined
+        # a missing value is still a usage error
+        assert run(capsys, *argv, option)[0] == 2
+        assert run(capsys, argv[0], option, *argv[1:])[0] == 2
+
+
 def test_cumulants_kinds(spec_files, capsys):
     code, out, _ = run(
         capsys,
@@ -288,10 +305,7 @@ def test_condexp_resolvent_mode(spec_files, capsys):
     assert code == 0
     spec = spec_from_json(TWOSTATE)
     lin = linearize(parse_poly("x*y"))
-    series = efree_resolvent(spec, lin.a_coeffs, lin.b_coeffs, 4)
-    u = [NCPolynomial.word("", c) for c in lin.u]
-    v = [NCPolynomial.word("", c) for c in lin.v]
-    corner = series.map(lambda mat: mat.apply_bilinear(u, v))
+    corner = lin.corner(efree_resolvent(spec, lin.a_coeffs, lin.b_coeffs, 4))
     payload = json.loads(out)
     assert len(payload["series"]) == 5
     for k in range(5):
@@ -369,6 +383,21 @@ def test_condexp_guard(spec_files, capsys):
     )
     assert code == 3
     assert "order" in err
+    # the ceiling holds whatever the guard; a shorter word still answers
+    def condexp(state, word):
+        spec = spec_files["twostate"]
+        return run(
+            capsys, "condexp", "--spec", spec, "--state", state,
+            "--guard", "5000", "--word", word,
+        )
+
+    for word in ("x" * 1100 + "y", "yx" * 1500):
+        for state in ("psi", "phi"):
+            code, out, err = condexp(state, word)
+            assert (code, out) == (3, "")
+            assert "ceiling" in err
+    answer = '{"source":"recursive","terms":[]}\n'
+    assert condexp("psi", "x" * 300 + "y") == (0, answer, "")
 
 
 def test_denoise_frozen_example(spec_files, capsys):
@@ -491,14 +520,24 @@ def test_partitions_missing_size(spec_files, capsys):
 
 
 def test_verify_suites(capsys):
-    for suite in ("vnrp", "sigma", "linearization", "engine"):
-        code, out, _ = run(capsys, "verify", suite)
-        assert code == 0, suite
-        payload = json.loads(out)
-        assert payload["status"] == "pass"
-        assert payload["checks"] > 0
-        assert payload["failures"] == []
-        assert list(payload) == ["suite", "checks", "failures", "status"]
+    counts = {"vnrp": 58, "sigma": 3, "linearization": 10, "engine": 8}
+    for suite, checks in counts.items():
+        assert run(capsys, "verify", suite) == (
+            0,
+            '{"suite":"%s","checks":%d,"failures":[],"status":"pass"}\n'
+            % (suite, checks),
+            "",
+        )
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    results = [(True, "fine"), (False, "boom"), (True, "fine")]
+    monkeypatch.setitem(selfcheck.SUITES, "sigma", lambda: iter(results))
+    assert run(capsys, "verify", "sigma") == (
+        4,
+        '{"suite":"sigma","checks":3,"failures":["boom"],"status":"fail"}\n',
+        "",
+    )
 
 
 def test_verify_unknown_suite(capsys):
@@ -528,6 +567,18 @@ def test_bad_spec_paths(spec_files, capsys, tmp_path):
     )
     assert code == 2
     assert "valid JSON" in err
+    for name, data, message in (
+        ("latin1.json", b"\xff\xfe", "not UTF-8"),
+        ("deep.json", b"[" * 100000, "nests too deeply"),
+    ):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        code, out, err = run(
+            capsys, "moments", "--poly=x", "--spec", str(bad), "--order=2"
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+        assert err.count("\n") == 1
 
 
 def test_usage_errors(capsys):

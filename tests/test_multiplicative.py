@@ -26,6 +26,7 @@ from cfree.multiplicative import (
 )
 from cfree.ncpoly import NCPolynomial
 from cfree.scalars import GQ_ONE, GQ_ZERO
+from cfree.selfcheck import nonzero_mean_spec
 from cfree.series import TruncSeries
 from cfree.twostate import (
     TwoStateSpec,
@@ -33,16 +34,6 @@ from cfree.twostate import (
     random_spec,
     semicircle_moments,
 )
-
-
-def nonzero_mean_spec(seed, order):
-    rng = random.Random(seed)
-    while True:
-        s = random_spec(rng, order)
-        if not s.moment("psi", "x").is_zero() and not s.moment(
-            "psi", "y"
-        ).is_zero():
-            return s
 
 
 def product_moments(spec, state, count, guard=None):
@@ -77,7 +68,7 @@ def test_unit_against_semicircle():
 
 
 def test_residual_identities_hold():
-    spec = nonzero_mean_spec(3, 8)
+    spec = nonzero_mean_spec(random.Random(3), 8)
     pair = subordination_pair(spec, 8)
     adv_x = spec.eta("y", "psi").compose_shifted(pair.omega_y)
     adv_y = spec.eta("x", "psi").compose_shifted(pair.omega_x)
@@ -93,7 +84,7 @@ def test_residual_identities_hold():
 
 def test_psi_mgf_composition_vs_oracle():
     for seed in (3, 11):
-        spec = nonzero_mean_spec(seed, 12)
+        spec = nonzero_mean_spec(random.Random(seed), 12)
         pair = subordination_pair(spec, 6)
         lhs = spec.marginal("x", "psi").series().compose(pair.omega_x)
         for n in range(7):
@@ -102,7 +93,7 @@ def test_psi_mgf_composition_vs_oracle():
 
 def test_phi_mgf_vs_oracle():
     for seed in (5, 13):
-        spec = nonzero_mean_spec(seed, 12)
+        spec = nonzero_mean_spec(random.Random(seed), 12)
         mp = mgf_product_phi(spec, 6)
         for n in range(7):
             assert mp.coeff(n) == spec.moment("phi", "xy" * n)
@@ -110,7 +101,7 @@ def test_phi_mgf_vs_oracle():
 
 def test_eta_identities_order_eight():
     """Boolean transform of XY: both compositions, both factorizations."""
-    spec = nonzero_mean_spec(7, 16)
+    spec = nonzero_mean_spec(random.Random(7), 16)
     pair = subordination_pair(spec, 8)
     psi_m = product_moments(spec, "psi", 8, guard=16)
     eta_xy = eta_series(boolean_from_moments(psi_m), 8)
@@ -126,7 +117,7 @@ def test_eta_identities_order_eight():
 
 def test_sigma_is_multiplicative():
     for seed in (3, 19, 23):
-        spec = nonzero_mean_spec(seed, 14)
+        spec = nonzero_mean_spec(random.Random(seed), 14)
         sx = sigma_transform(
             (spec.marginal("x", "phi"), spec.marginal("x", "psi")), 7
         )
@@ -194,7 +185,7 @@ def test_product_resolvent_quasi_expectation():
 
 
 def test_order_and_spec_bounds():
-    spec = nonzero_mean_spec(3, 6)
+    spec = nonzero_mean_spec(random.Random(3), 6)
     with pytest.raises(DomainError):
         subordination_pair(spec, 7)
     pair0 = subordination_pair(spec, 0)

@@ -23,6 +23,7 @@ from cfree.partitions import (
     outer_inner,
     vnrp_closure,
 )
+from cfree.selfcheck import ll_maximal
 
 
 def catalan(n):
@@ -296,16 +297,11 @@ def test_vnrp_closure_axioms_and_maximality():
                 assert is_vnrp(closed, colors)
                 assert vnrp_closure(closed, colors) == closed
                 # the up-set has a unique maximal element, and it is closed
-                ups = [rho for rho in compatible if is_ll(sigma, rho)]
-                maximal = [
-                    rho
-                    for rho in ups
-                    if all(rho == t or not is_ll(rho, t) for t in ups)
-                ]
-                assert maximal == [closed]
+                assert ll_maximal(sigma, compatible) == [closed]
                 # is_vnrp is exactly ll-maximality
-                for rho in ups:
-                    assert is_vnrp(rho, colors) == (rho == closed)
+                for rho in compatible:
+                    if is_ll(sigma, rho):
+                        assert is_vnrp(rho, colors) == (rho == closed)
 
 
 def test_vnrp_closure_order_preserving():
