@@ -22,11 +22,7 @@ import json
 import sys
 
 from .condexp import efree_rec, efree_resolvent, rqce, rqce_resolvent
-from .cumulants import (
-    boolean_from_moments,
-    cfree_from_two_moments,
-    free_from_moments,
-)
+from .cumulants import free_from_moments
 from .denoise import distributions_of_poly, l2_project, weighted_state
 from .engine import poly_distribution
 from .errors import CFreeError, ParseError
@@ -96,17 +92,13 @@ def _cmd_moments(args):
 def _cmd_cumulants(args):
     spec = _load_spec(args.spec)
     if args.kind == "boolean":
-        state = args.state or "psi"
-        seq = boolean_from_moments(spec.marginal(args.letter, state))
+        seq = spec.boolean_cumulants(args.letter, args.state or "psi")
     elif args.state is not None:
         raise ParseError("--state applies only to Boolean cumulants")
     elif args.kind == "free":
         seq = free_from_moments(spec.marginal(args.letter, "psi"))
     else:
-        seq = cfree_from_two_moments(
-            spec.marginal(args.letter, "phi"),
-            free_from_moments(spec.marginal(args.letter, "psi")),
-        )
+        seq = spec.cfree_cumulants(args.letter)
     values = _strings(seq.values)
     label = "%s cumulants of %s" % (seq.kind, args.letter)
     if args.format == "json":
@@ -320,21 +312,39 @@ def _build_parser():
     p.add_argument("suite", help="one of: %s" % ", ".join(sorted(SUITES)))
     p.set_defaults(handler=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 _POLY_OPTIONS = ("--poly", "--target", "--weight")
 
 
-def _bind_poly_values(argv):
+def _option_named(token, options):
+    """The option that token names, in full or by a unique prefix, or None."""
+    if token in options:
+        return token
+    hits = [o for o in options if o.startswith(token)] if token[:2] == "--" else []
+    return hits[0] if len(hits) == 1 else None
+
+
+def _bind_poly_values(argv, commands):
     """Write each polynomial option and its value as one token, --poly=V.
 
-    argparse would take a separate value such as "-x*y" for an option.  A
-    next token that begins with "--" is left alone: the value is missing.
+    argparse would refuse a separate value such as "-x*y" or "--x" for an
+    option, which may be abbreviated as argparse allows.  A next token
+    that names an option of the subcommand, or the end-of-options marker
+    "--", is left alone: the value is missing.
     """
+    name = next((t for t in argv if t[:1] != "-"), None)
+    # argparse resolves options and their prefixes through this table
+    options = commands[name]._option_string_actions if name in commands else {}
     out = []
     for token in argv:
-        if out and out[-1] in _POLY_OPTIONS and not token.startswith("--"):
+        if (
+            out
+            and _option_named(out[-1], options) in _POLY_OPTIONS
+            and token != "--"
+            and _option_named(token, options) is None
+        ):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -345,7 +355,8 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(_bind_poly_values(argv))
+        parser, commands = _build_parser()
+        args = parser.parse_args(_bind_poly_values(argv, commands))
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -1,20 +1,26 @@
 """Moment and cumulant sequences of a single variable, and conversions.
 
-Conversions are triangular recursions on the defining summation formulas:
-a length-n identity is solved for its top term, so every map here is exact
-and is its own inverse witness.  Partition-indexed sums (irreducible
-expansions, products-as-entries) delegate enumeration to the partitions
-module.
+Boolean cumulants come from the deconcatenation recursion, which is the
+series identity eta = 1 - 1/M.  Free and c-free cumulants come from one
+change of variable.  With M = M_psi, R(w) = sum r_n w^n and
+Rc(w) = sum rc_n w^{n-1}, the series g(z) = z M(z) has the compositional
+inverse h(w) = w / (1 + R(w)), and
+
+    R = (M - 1) o h,   read off by Lagrange-Buermann as
+                       r_n = (1/n) [z^{n-1}] M'(z) M(z)^{-n},
+    Rc = (eta_phi o h) / h,   with eta_phi = 1 - 1/M_phi.
+
+The inverse maps revert h: M = g / z and M_phi = 1 / (1 - z Rc(g)).
+Every map is exact over Q(i) and costs at most O(N^3) at order N.  The
+partition sums below (partition_weight, partitioned_functional) are the
+definitions; the tests sum them over noncrossing partitions as the slow,
+independent cross-check of these identities.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .partitions import (
-    enumerate_interval,
-    enumerate_irreducible,
-    outer_inner,
-)
+from .partitions import enumerate_interval, outer_inner
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational
 from .series import TruncSeries
 
@@ -157,83 +163,62 @@ def moments_from_boolean(beta, state=None):
     return MomentSeq(moments, state)
 
 
-def _series_power_coeff(series_list, k, index):
-    """[z^index] of the product of k copies from a coefficient list."""
-    acc = TruncSeries.constant(GQ_ONE, index)
-    base = TruncSeries(series_list[: index + 1])
-    for _ in range(k):
-        acc = acc * base
-    return acc.coeff(index)
+def _psi_reversion(r):
+    """g = z M_psi(z), the compositional inverse of h(w) = w / (1 + R(w)).
+
+    h is known to order N + 1 from N free cumulants, so g is too.
+    """
+    h = TruncSeries((GQ_ZERO,) + TruncSeries((GQ_ONE,) + r.values).inverse().coeffs)
+    return h.revert()
 
 
 def moments_from_free(r, state="psi"):
-    """m_n = sum_k r_k [z^{n-k}] M(z)^k, solved upward in n."""
-    mom = [GQ_ONE]
-    for n in range(1, r.order + 1):
-        value = GQ_ZERO
-        for k in range(1, n + 1):
-            value = value + r.value(k) * _series_power_coeff(mom, k, n - k)
-        mom.append(value)
-    return MomentSeq(mom[1:], state)
+    """M = g / z with g the reversion of w / (1 + R(w))."""
+    return MomentSeq(_psi_reversion(r).coeffs[2:], state)
 
 
 def free_from_moments(m):
-    """Invert the free moment-cumulant recursion triangularly."""
-    mom = [GQ_ONE] + list(m.values)
+    """Lagrange-Buermann: r_n = (1/n) [z^{n-1}] M'(z) M(z)^{-n}."""
+    slope = [k * v for k, v in enumerate(m.values, start=1)]
+    inverse = m.series().inverse()
+    power = inverse
     r = []
     for n in range(1, m.order + 1):
-        value = m.moment(n)
-        for k in range(1, n):
-            value = value - r[k - 1] * _series_power_coeff(mom, k, n - k)
-        r.append(value)
+        value = GQ_ZERO
+        for j in range(n):
+            value = value + slope[j] * power.coeffs[n - 1 - j]
+        r.append(value / n)
+        power = power * inverse
     return CumulantSeq(r, "free-psi")
 
 
-def _mixed_power_coeff(psi_mom, phi_mom, k, index):
-    """[z^index] of M_psi^{k-1} * M_phi from coefficient lists."""
-    acc = TruncSeries(phi_mom[: index + 1])
-    base = TruncSeries(psi_mom[: index + 1])
-    for _ in range(k - 1):
-        acc = acc * base
-    return acc.coeff(index)
-
-
 def phi_moments_from_cfree(cfree, r_psi):
-    """m^phi_n = sum_k rc_k [z^{n-k}] (M_psi^{k-1} M_phi), upward in n.
+    """M_phi = 1 / (1 - z Rc(g(z))) with Rc(w) = sum rc_k w^{k-1}, g = z M_psi.
 
-    Outer blocks carry the c-free cumulants, nestings inside them only see
-    the psi data; the generating-function form of that weighting is the
-    mixed power above.
+    Outer blocks carry the c-free cumulants and everything nested inside
+    them the psi data, which enters through g.
     """
     if cfree.order != r_psi.order:
         raise DomainError("cumulant orders differ")
-    psi_mom = [GQ_ONE] + list(moments_from_free(r_psi).values)
-    phi_mom = [GQ_ONE]
-    for n in range(1, cfree.order + 1):
-        value = GQ_ZERO
-        for k in range(1, n + 1):
-            value = value + cfree.value(k) * _mixed_power_coeff(
-                psi_mom, phi_mom, k, n - k
-            )
-        phi_mom.append(value)
-    return MomentSeq(phi_mom[1:], "phi")
+    n = cfree.order
+    g = _psi_reversion(r_psi).truncated(n)
+    eta = TruncSeries((GQ_ZERO,) + cfree.values).compose_shifted(g).shift(1)
+    m_phi = (TruncSeries.constant(GQ_ONE, n) - eta).inverse()
+    return MomentSeq(m_phi.coeffs[1:], "phi")
 
 
 def cfree_from_two_moments(m_phi, r_psi):
-    """Solve the c-free recursion for the top cumulant at each order."""
+    """Rc(w) = eta_phi(h(w)) / h(w) with h(w) = w / (1 + R(w)).
+
+    eta_phi = 1 - 1/M_phi is the phi-Boolean transform, and h / w is
+    1 / (1 + R), so rc_k = [w^k] eta_phi(h) (1 + R).
+    """
     if m_phi.order != r_psi.order:
         raise DomainError("orders differ")
-    psi_mom = [GQ_ONE] + list(moments_from_free(r_psi).values)
-    phi_mom = [GQ_ONE] + list(m_phi.values)
-    rc = []
-    for n in range(1, m_phi.order + 1):
-        value = m_phi.moment(n)
-        for k in range(1, n):
-            value = value - rc[k - 1] * _mixed_power_coeff(
-                psi_mom, phi_mom, k, n - k
-            )
-        rc.append(value)
-    return CumulantSeq(rc, "cfree")
+    one_plus_r = TruncSeries((GQ_ONE,) + r_psi.values)
+    h = one_plus_r.inverse().shift(1)
+    eta = TruncSeries.constant(GQ_ONE, m_phi.order) - m_phi.series().inverse()
+    return CumulantSeq((eta.compose(h) * one_plus_r).coeffs[1:], "cfree")
 
 
 def partition_weight(p, seq):
@@ -253,27 +238,6 @@ def partition_weight_outer_inner(p, outer_seq, inner_seq):
     for block in inner:
         value = value * inner_seq.value(len(block))
     return value
-
-
-def boolean_from_free_irr(r, cfree=None):
-    """beta_n as a sum over irreducible noncrossing partitions.
-
-    With one argument this is the single-state identity beta_n =
-    sum_{pi irreducible} r_pi.  With a c-free sequence supplied, the
-    unique outer block takes the c-free weight and the result is the
-    phi-Boolean sequence.
-    """
-    beta = []
-    for n in range(1, r.order + 1):
-        total = GQ_ZERO
-        for p in enumerate_irreducible(n):
-            if cfree is None:
-                total = total + partition_weight(p, r)
-            else:
-                total = total + partition_weight_outer_inner(p, cfree, r)
-        beta.append(total)
-    kind = "boolean-psi" if cfree is None else "boolean-phi"
-    return CumulantSeq(beta, kind)
 
 
 def partitioned_functional(fn, p, args):

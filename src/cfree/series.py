@@ -214,28 +214,20 @@ class TruncSeries:
         """Compositional inverse g with self(g(z)) = z + O(z^{N+1}).
 
         Requires c_0 = 0 and c_1 invertible, scalar coefficients only.
-        Solved triangularly: the z^n condition is linear in g_n because
-        g_n enters sum_k c_k g^k only through the k = 1 term.
+        Lagrange inversion: g_n = (1/n) [z^{n-1}] q^n with q = z / self(z),
+        the inverse of c_1 + c_2 z + ... + c_N z^{N-1}.
         """
         if not self.coeffs[0].is_zero():
             raise DomainError("reversion needs zero constant term")
         n = self.order
         if n < 1 or self.coeffs[1].is_zero():
             raise DomainError("reversion needs an invertible linear term")
-        c1_inv = self.coeffs[1].inverse()
-        zero = self.coeffs[0].zero_like()
-        g = [zero, c1_inv]
-        for m in range(2, n + 1):
-            # evaluate sum_{k>=2} c_k * (g so far)^k at z^m; g_m unknown yet
-            partial = TruncSeries(tuple(g) + (zero,) * (m - len(g) + 1))
-            acc = zero
-            power = partial * partial
-            for k in range(2, m + 1):
-                c = self.coeffs[k]
-                if not c.is_zero():
-                    acc = acc + c * power.coeffs[m]
-                power = power * partial
-            g.append(-(c1_inv * acc))
+        q = TruncSeries(self.coeffs[1:]).inverse()
+        power = q
+        g = [self.coeffs[0], q.coeffs[0]]
+        for k in range(2, n + 1):
+            power = power * q
+            g.append(power.coeffs[k - 1] / k)
         return TruncSeries(tuple(g))
 
     def __str__(self):

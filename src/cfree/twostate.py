@@ -1,9 +1,10 @@
 """Ground truth for joint (psi, phi)-moments of two c-free variables.
 
 A TwoStateSpec holds marginal moment sequences for the letters x and y
-under both states and derives their cumulant sequences once.  Joint word
-moments are colored noncrossing partition sums, evaluated here by a
-first-block recursion instead of literal enumeration:
+under both states.  It derives their Boolean cumulants at once, and their
+free and c-free cumulants, which only the word oracle reads, on first
+read.  Joint word moments are colored noncrossing partition sums,
+evaluated here by a first-block recursion instead of literal enumeration:
 
     psi(w) = sum over chains 0 = b_1 < ... < b_k of positions carrying
              w[0], of r_k * prod psi(gap between consecutive b_i)
@@ -72,19 +73,15 @@ class TwoStateSpec:
             if psi[letter].state != "psi" or phi[letter].state != "phi":
                 raise DomainError("marginal state tags are inconsistent")
         beta = {}
-        r_psi = {}
-        r_cfree = {}
         for letter in ALPHABET:
             beta[letter, "psi"] = boolean_from_moments(psi[letter])
             beta[letter, "phi"] = boolean_from_moments(phi[letter])
-            r_psi[letter] = free_from_moments(psi[letter])
-            r_cfree[letter] = cfree_from_two_moments(phi[letter], r_psi[letter])
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_psi", psi)
         object.__setattr__(self, "_phi", phi)
         object.__setattr__(self, "_beta", beta)
-        object.__setattr__(self, "_r_psi", r_psi)
-        object.__setattr__(self, "_r_cfree", r_cfree)
+        object.__setattr__(self, "_r_psi", {})
+        object.__setattr__(self, "_r_cfree", {})
         object.__setattr__(self, "_psi_memo", {"": GQ_ONE})
         object.__setattr__(self, "_phi_memo", {"": GQ_ONE})
         object.__setattr__(self, "_chain_memo", {})
@@ -104,11 +101,31 @@ class TwoStateSpec:
 
     def free_cumulants(self, letter):
         check_word(letter)
-        return self._r_psi[letter]
+        return self._free(letter)
 
     def cfree_cumulants(self, letter):
         check_word(letter)
-        return self._r_cfree[letter]
+        return self._cfree(letter)
+
+    def _free(self, letter):
+        """Free psi-cumulants of a letter, computed on first read.
+
+        Only the word oracle and the accessors read the free and c-free
+        cumulants; the engine reads the Boolean ones alone.
+        """
+        r = self._r_psi.get(letter)
+        if r is None:
+            r = self._r_psi[letter] = free_from_moments(self._psi[letter])
+        return r
+
+    def _cfree(self, letter):
+        """C-free cumulants of a letter, computed on first read."""
+        r = self._r_cfree.get(letter)
+        if r is None:
+            r = self._r_cfree[letter] = cfree_from_two_moments(
+                self._phi[letter], self._free(letter)
+            )
+        return r
 
     def eta(self, letter, state="psi", order=None):
         return eta_series(self.boolean_cumulants(letter, state), order)
@@ -137,7 +154,7 @@ class TwoStateSpec:
                     if prev.is_zero():
                         continue
                     gap = self._word_moment(
-                        word[positions[s] + 1 : j], self._r_psi, self._psi_memo
+                        word[positions[s] + 1 : j], self._free, self._psi_memo
                     )
                     acc = acc + prev * gap
                 row.append(acc)
@@ -149,13 +166,13 @@ class TwoStateSpec:
     def _word_moment(self, word, cumulants, memo):
         """Chain sum of the word with the outer block weighted by cumulants.
 
-        (self._r_psi, self._psi_memo) gives psi(word) and (self._r_cfree,
+        (self._free, self._psi_memo) gives psi(word) and (self._cfree,
         self._phi_memo) gives phi(word); gaps always recurse under psi.
         """
         value = memo.get(word)
         if value is not None:
             return value
-        r = cumulants[word[0]]
+        r = cumulants(word[0])
         total = GQ_ZERO
         for tail_start, chain in self._chains(word):
             tail = self._word_moment(word[tail_start:], cumulants, memo)
@@ -171,18 +188,19 @@ class TwoStateSpec:
         if state not in STATES:
             raise DomainError("unknown state %r" % (state,))
         check_word(word)
+        # the spec order is checked first: no guard can lift it
+        if len(word) > self.order:
+            raise DomainError(
+                "word length %d exceeds spec order %d" % (len(word), self.order)
+            )
         limit = ENUMERATION_GUARD if guard is None else guard
         if len(word) > limit:
             raise LimitError(
                 "word length %d exceeds guard %d" % (len(word), limit)
             )
-        if len(word) > self.order:
-            raise DomainError(
-                "word length %d exceeds spec order %d" % (len(word), self.order)
-            )
         if state == "psi":
-            return self._word_moment(word, self._r_psi, self._psi_memo)
-        return self._word_moment(word, self._r_cfree, self._phi_memo)
+            return self._word_moment(word, self._free, self._psi_memo)
+        return self._word_moment(word, self._cfree, self._phi_memo)
 
     def psi_moment(self, word, guard=None):
         return self.moment("psi", word, guard)

@@ -184,9 +184,20 @@ def test_poly_values_may_begin_with_minus(spec_files, capsys):
         joined = run(capsys, *argv, option + "=" + value)
         assert joined[0] == 0
         assert run(capsys, *argv, option, value) == joined
-        # a missing value is still a usage error
+        # an abbreviated option binds its value too
+        assert run(capsys, *argv, option[:-1], value) == joined
+        # so does a value that begins with "--" but names no option
+        doubled = run(capsys, *argv, option + "=-" + value)
+        assert doubled[0] == 0
+        assert run(capsys, *argv, option, "-" + value) == doubled
+        assert run(capsys, *argv, option[:4], "-" + value) == doubled
+        # a missing value is still a usage error: at the end, before a real
+        # or abbreviated option, or before the end-of-options marker
         assert run(capsys, *argv, option)[0] == 2
         assert run(capsys, argv[0], option, *argv[1:])[0] == 2
+        assert run(capsys, argv[0], option[:-1], *argv[1:])[0] == 2
+        assert run(capsys, *argv, option, "--sp", spec[1])[0] == 2
+        assert run(capsys, *argv, option, "--")[0] == 2
 
 
 def test_cumulants_kinds(spec_files, capsys):
@@ -398,6 +409,11 @@ def test_condexp_guard(spec_files, capsys):
             assert "ceiling" in err
     answer = '{"source":"recursive","terms":[]}\n'
     assert condexp("psi", "x" * 300 + "y") == (0, answer, "")
+    # under phi the word needs x-moments past the spec order; the message
+    # names that limit, not the oracle's default guard
+    code, out, err = condexp("phi", "x" * 300 + "y")
+    assert (code, out) == (3, "")
+    assert "spec order 10" in err and "guard" not in err
 
 
 def test_denoise_frozen_example(spec_files, capsys):

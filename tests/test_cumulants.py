@@ -6,7 +6,6 @@ import pytest
 from cfree.cumulants import (
     CumulantSeq,
     MomentSeq,
-    boolean_from_free_irr,
     boolean_from_moments,
     boolean_products,
     cfree_from_two_moments,
@@ -16,11 +15,17 @@ from cfree.cumulants import (
     moments_from_boolean,
     moments_from_free,
     partition_weight,
+    partition_weight_outer_inner,
     partitioned_functional,
     phi_moments_from_cfree,
 )
 from cfree.errors import DomainError
-from cfree.partitions import SetPartition, enumerate_nc, is_ll
+from cfree.partitions import (
+    SetPartition,
+    enumerate_irreducible,
+    enumerate_nc,
+    is_ll,
+)
 from cfree.scalars import GQ_ONE, GQ_ZERO, gq
 from cfree.series import TruncSeries
 
@@ -124,16 +129,30 @@ def test_free_round_trip():
         assert moments_from_free(free_from_moments(m)) == m
 
 
+def rand_gaussian(rng, order):
+    return tuple(
+        gq(Fraction(rng.randint(-8, 8), rng.randint(1, 4)), rng.randint(-1, 1))
+        for _ in range(order)
+    )
+
+
+def nc_sum(n, weight):
+    total = GQ_ZERO
+    for p in enumerate_nc(n):
+        total = total + weight(p)
+    return total
+
+
 def test_free_matches_partition_sum():
-    # m_n = sum over NC(n) of the cumulant partition weight
+    # m_n = sum over NC(n) of the cumulant partition weight, both directions
     rng = random.Random(8)
-    m = rand_moments(rng, 6)
+    m = MomentSeq(rand_gaussian(rng, 8))
     r = free_from_moments(m)
-    for n in range(1, 7):
-        total = GQ_ZERO
-        for p in enumerate_nc(n):
-            total = total + partition_weight(p, r)
-        assert total == m.moment(n)
+    r_given = CumulantSeq(rand_gaussian(rng, 8), "free-psi")
+    m_given = moments_from_free(r_given)
+    for n in range(1, 9):
+        assert nc_sum(n, lambda p: partition_weight(p, r)) == m.moment(n)
+        assert nc_sum(n, lambda p: partition_weight(p, r_given)) == m_given.moment(n)
 
 
 # -- c-free ---------------------------------------------------------------
@@ -185,12 +204,49 @@ def test_cfree_frozen_forward():
     assert phi_moments_from_cfree(rc, r_psi) == mseq(0, 2, 0, 6, state="phi")
 
 
+def test_cfree_matches_partition_sum():
+    # m^phi_n = sum over NC(n) of c-free weights on outer blocks and free
+    # weights on inner ones; a bug shared by both directions fails here
+    rng = random.Random(15)
+    m_phi = MomentSeq(rand_gaussian(rng, 8), "phi")
+    r = free_from_moments(MomentSeq(rand_gaussian(rng, 8)))
+    rc = cfree_from_two_moments(m_phi, r)
+    rc_given = CumulantSeq(rand_gaussian(rng, 8), "cfree")
+    m_given = phi_moments_from_cfree(rc_given, r)
+    for outer, moments in ((rc, m_phi), (rc_given, m_given)):
+        for n in range(1, 9):
+            total = nc_sum(n, lambda p: partition_weight_outer_inner(p, outer, r))
+            assert total == moments.moment(n)
+
+
 def test_cfree_order_mismatch():
     with pytest.raises(DomainError):
         cfree_from_two_moments(mseq(1, 1, state="phi"), cseq("free-psi", 1))
 
 
 # -- irreducible sums -------------------------------------------------------
+
+
+def boolean_from_free_irr(r, cfree=None):
+    """beta_n as a sum over irreducible noncrossing partitions.
+
+    With one argument this is the single-state identity beta_n =
+    sum_{pi irreducible} r_pi.  With a c-free sequence supplied, the
+    unique outer block takes the c-free weight and the result is the
+    phi-Boolean sequence.  A slow cross-check of the free and c-free
+    transforms against the Boolean one.
+    """
+    beta = []
+    for n in range(1, r.order + 1):
+        total = GQ_ZERO
+        for p in enumerate_irreducible(n):
+            if cfree is None:
+                total = total + partition_weight(p, r)
+            else:
+                total = total + partition_weight_outer_inner(p, cfree, r)
+        beta.append(total)
+    kind = "boolean-psi" if cfree is None else "boolean-phi"
+    return CumulantSeq(beta, kind)
 
 
 def test_boolean_from_free_irr_frozen():

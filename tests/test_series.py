@@ -171,6 +171,19 @@ def test_revert_round_trip():
         assert g.compose(s) == z
 
 
+def test_revert_gaussian_non_unit_linear():
+    # Lagrange inversion divides by n and by the linear term: exercise both
+    # on complex coefficients at order 20
+    rng = random.Random(9)
+    z = TruncSeries.variable(20)
+    coeffs = [GQ_ZERO, gq(Fraction(2, 3), -1)] + [
+        gq(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+        for _ in range(19)
+    ]
+    s = TruncSeries(coeffs)
+    assert s.compose(s.revert()) == z
+
+
 def test_revert_requires_linear_unit():
     with pytest.raises(DomainError):
         series(1, 1).revert()

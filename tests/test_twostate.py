@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfree.engine import poly_distribution
 from cfree.errors import DomainError, LimitError, ParseError
 from cfree.ncpoly import NCPolynomial, block_factorize, parse_poly
 from cfree.partitions import (
@@ -118,6 +119,25 @@ def test_spec_marginals_and_cumulants():
     # phi defaulted to psi: c-free cumulants collapse to the free ones
     assert spec.cfree_cumulants("x").values == spec.free_cumulants("x").values
     assert spec.marginal("x", "phi").state == "phi"
+
+
+def test_cumulants_read_on_demand_change_no_answer():
+    # free and c-free cumulants are computed on first read; the engine
+    # never reads them, and reading them early or late changes no answer
+    lazy = random_spec(random.Random(31), 6)
+    eager = random_spec(random.Random(31), 6)
+    for letter in "xy":
+        eager.free_cumulants(letter)
+        eager.cfree_cumulants(letter)
+    for state in ("psi", "phi"):
+        dist = poly_distribution(lazy, "x*y + y", state, 3)
+        assert lazy._r_psi == {} and lazy._r_cfree == {}
+        assert dist == poly_distribution(eager, "x*y + y", state, 3)
+    for word in ("xyxy", "yxxy", "xxyyx"):
+        for state in ("phi", "psi"):
+            assert lazy.moment(state, word) == eager.moment(state, word)
+    assert lazy.free_cumulants("y") == eager.free_cumulants("y")
+    assert lazy.cfree_cumulants("x") == eager.cfree_cumulants("x")
 
 
 def test_moment_on_marginal_words():
