@@ -100,30 +100,24 @@ class TwoStateSpec:
         return self._beta[letter, state]
 
     def free_cumulants(self, letter):
-        check_word(letter)
-        return self._free(letter)
-
-    def cfree_cumulants(self, letter):
-        check_word(letter)
-        return self._cfree(letter)
-
-    def _free(self, letter):
         """Free psi-cumulants of a letter, computed on first read.
 
-        Only the word oracle and the accessors read the free and c-free
+        Only the word oracle and these accessors read the free and c-free
         cumulants; the engine reads the Boolean ones alone.
         """
+        check_word(letter)
         r = self._r_psi.get(letter)
         if r is None:
             r = self._r_psi[letter] = free_from_moments(self._psi[letter])
         return r
 
-    def _cfree(self, letter):
+    def cfree_cumulants(self, letter):
         """C-free cumulants of a letter, computed on first read."""
+        check_word(letter)
         r = self._r_cfree.get(letter)
         if r is None:
             r = self._r_cfree[letter] = cfree_from_two_moments(
-                self._phi[letter], self._free(letter)
+                self._phi[letter], self.free_cumulants(letter)
             )
         return r
 
@@ -154,7 +148,9 @@ class TwoStateSpec:
                     if prev.is_zero():
                         continue
                     gap = self._word_moment(
-                        word[positions[s] + 1 : j], self._free, self._psi_memo
+                        word[positions[s] + 1 : j],
+                        self.free_cumulants,
+                        self._psi_memo,
                     )
                     acc = acc + prev * gap
                 row.append(acc)
@@ -166,8 +162,9 @@ class TwoStateSpec:
     def _word_moment(self, word, cumulants, memo):
         """Chain sum of the word with the outer block weighted by cumulants.
 
-        (self._free, self._psi_memo) gives psi(word) and (self._cfree,
-        self._phi_memo) gives phi(word); gaps always recurse under psi.
+        (self.free_cumulants, self._psi_memo) gives psi(word) and
+        (self.cfree_cumulants, self._phi_memo) gives phi(word); gaps always
+        recurse under psi.
         """
         value = memo.get(word)
         if value is not None:
@@ -199,8 +196,8 @@ class TwoStateSpec:
                 "word length %d exceeds guard %d" % (len(word), limit)
             )
         if state == "psi":
-            return self._word_moment(word, self._free, self._psi_memo)
-        return self._word_moment(word, self._cfree, self._phi_memo)
+            return self._word_moment(word, self.free_cumulants, self._psi_memo)
+        return self._word_moment(word, self.cfree_cumulants, self._phi_memo)
 
     def psi_moment(self, word, guard=None):
         return self.moment("psi", word, guard)
