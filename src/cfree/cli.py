@@ -363,6 +363,9 @@ def main(argv=None):
             return 0
         return code if isinstance(code, int) else 2
     try:
+        for option in _POLY_OPTIONS:  # argparse stores --poly=-- as []
+            if getattr(args, option[2:], None) == []:
+                raise ParseError("argument %s: expected a polynomial" % option)
         code, text = args.handler(args)
     except CFreeError as exc:
         print("cfree: %s" % exc, file=sys.stderr)

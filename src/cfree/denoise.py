@@ -16,7 +16,7 @@ DomainErrors (zero-mean weight, moments out of range, singular data).
 
 from __future__ import annotations
 
-from .engine import poly_distribution
+from .engine import _poly_moments
 from .errors import DomainError, InternalError
 from .cumulants import MomentSeq
 from .ncpoly import NCPolynomial, parse_poly
@@ -99,13 +99,10 @@ def weighted_state(x_psi, y_psi, f, order):
 def distributions_of_poly(state, p, order):
     """(phi, psi) moment sequences of an observable P(X, Y).
 
-    Both come out of the fixed-point engine on the weighted spec; the
+    Both come out of one fixed-point solve on the weighted spec; the
     spec must be deep enough for deg(P) * order.
     """
-    p = _as_poly(p)
-    phi = poly_distribution(state.spec, p, "phi", order)
-    psi = poly_distribution(state.spec, p, "psi", order)
-    return phi, psi
+    return _poly_moments(state.spec, _as_poly(p), order, ("phi", "psi"))
 
 
 class ProjectionResult:

@@ -15,9 +15,10 @@ come out as matrix geometric series in the solved blocks:
     M^phi(z) = (I - z A F^phi_X - z B F^phi_Y)^{-1}
     M^psi(z) = (I - z A F_X    - z B F_Y   )^{-1}
 
-Everything is exact: the system is triangular order by order, so a fixed
-number of Jacobi sweeps settles every coefficient, and one further sweep is
-run as a certificate that the result is an honest fixed point.
+Everything is exact: the system is triangular order by order, so the
+psi blocks grow one order at a time, each sweep exact at its order, and
+one sweep at the full order certifies the fixed point.  The phi blocks do
+not feed back; they are read once from the settled H_X and H_Y.
 
 Order bookkeeping: with target order N, the six subordination blocks are
 carried at order N-1 (their z^N coefficients would need cumulants of order
@@ -38,7 +39,6 @@ __all__ = [
     "EngineState",
     "resolvent_series",
     "solve_fixed_point",
-    "phi_resolvents",
     "poly_distribution",
 ]
 
@@ -160,36 +160,32 @@ class EngineState:
         return self.mgf(which).map(lambda mat: mat.apply_bilinear(u, v))
 
 
-def _settle(step, start, sweeps):
-    """Apply a Jacobi step the given number of times, then certify.
+def _settle(step, start, order):
+    """Grow a triangular fixed point one order at a time, then certify.
 
-    The fixed points solved here are triangular order by order, so a
-    fixed number of sweeps settles every coefficient; one further sweep
-    must return its input unchanged, or InternalError is raised.
+    step(state, t) returns the iterate at order t, exact when its input is
+    exact to t - 1.  One more call at the full order must return its input
+    unchanged, or InternalError is raised.
     """
     state = start
-    for _ in range(sweeps):
-        state = step(state)
-    if step(state) != state:
+    for t in range(order + 1):
+        state = step(state, t)
+    if step(state, order) != state:
         raise InternalError(
             "subordination fixed point failed to stabilize after %d sweeps"
-            % (sweeps + 1)
+            % (order + 2)
         )
     return state
 
 
-def _sweep(spec, a_s, b_s, ident, blocks):
-    """One Jacobi update of the six blocks from the previous iterate."""
-    h_x, h_y, f_x, f_y = blocks[:4]
-    arg_x = (h_y * a_s).shift(1)
-    arg_y = (h_x * b_s).shift(1)
+def _sweep(spec, a_s, b_s, ident, blocks, t):
+    """The four psi blocks at order t from an iterate exact to order t - 1."""
+    h_x, h_y, f_x, f_y = blocks
     return (
-        (ident - (a_s * f_x).shift(1)).inverse(),
-        (ident - (b_s * f_y).shift(1)).inverse(),
-        spec.eta("x", "psi").compose_shifted(arg_x),
-        spec.eta("y", "psi").compose_shifted(arg_y),
-        spec.eta("x", "phi").compose_shifted(arg_x),
-        spec.eta("y", "phi").compose_shifted(arg_y),
+        (ident - _z_times(a_s * f_x, t)).inverse(),
+        (ident - _z_times(b_s * f_y, t)).inverse(),
+        spec.eta("x", "psi").compose_shifted(_z_times(h_y * a_s, t)),
+        spec.eta("y", "psi").compose_shifted(_z_times(h_x * b_s, t)),
     )
 
 
@@ -198,8 +194,8 @@ def solve_fixed_point(spec, a, b, order):
 
     A and B may be constant matrices, stacks of z-coefficients, or matrix
     series; they must be square and of equal size.  Needs spec.order >=
-    order.  Runs order+1 Jacobi sweeps, then one certification sweep that
-    must be a no-op; anything else raises InternalError.
+    order.  Grows the psi blocks one order at a time; a last sweep at the
+    full order must be a no-op, or InternalError is raised.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -214,12 +210,14 @@ def solve_fixed_point(spec, a, b, order):
         raise DomainError("A and B must have the same size")
 
     ident = TruncSeries.constant(SquareMatrix.identity(n), sub)
-    zero = TruncSeries.constant(SquareMatrix.zeros(n), sub)
-    h_x, h_y, f_x, f_y, f_x_phi, f_y_phi = _settle(
-        lambda blocks: _sweep(spec, a_s, b_s, ident, blocks),
-        (ident, ident, zero, zero, zero, zero),
-        order + 1,
+    zero = TruncSeries.constant(SquareMatrix.zeros(n), 0)
+    h_x, h_y, f_x, f_y = _settle(
+        lambda blocks, t: _sweep(spec, a_s, b_s, ident, blocks, t),
+        (zero, zero, zero, zero),
+        sub,
     )
+    f_x_phi = spec.eta("x", "phi").compose_shifted(_z_times(h_y * a_s, sub))
+    f_y_phi = spec.eta("y", "phi").compose_shifted(_z_times(h_x * b_s, sub))
 
     def transform(fx, fy):
         term = _z_times((a_s * fx) + (b_s * fy), order)
@@ -243,18 +241,6 @@ def solve_fixed_point(spec, a, b, order):
     )
 
 
-def phi_resolvents(state):
-    """The phi analogues (I - z A F^phi_X)^{-1}, (I - z B F^phi_Y)^{-1}.
-
-    Not part of the fixed point; exposed for identity checks.
-    """
-    sub = state.h_x.order
-    ident = TruncSeries.constant(SquareMatrix.identity(state.n), sub)
-    hx = (ident - (state.a * state.f_x_phi).shift(1)).inverse()
-    hy = (ident - (state.b * state.f_y_phi).shift(1)).inverse()
-    return hx, hy
-
-
 def poly_distribution(spec, p, state="psi", order=None):
     """Moments of a polynomial P(X, Y) in the requested state, exactly.
 
@@ -270,6 +256,11 @@ def poly_distribution(spec, p, state="psi", order=None):
         raise DomainError("poly_distribution needs an explicit order")
     if state not in ("phi", "psi"):
         raise DomainError("state must be 'phi' or 'psi'")
+    return _poly_moments(spec, p, order, (state,))[0]
+
+
+def _poly_moments(spec, p, order, states):
+    """poly_distribution for each of the states, from one engine solve."""
     if order < 0:
         raise DomainError("order must be >= 0")
     lin = linearize(p)
@@ -280,14 +271,17 @@ def poly_distribution(spec, p, state="psi", order=None):
             % (lin.m, order, eng_order, spec.order)
         )
     st = solve_fixed_point(spec, lin.a_coeffs, lin.b_coeffs, eng_order)
-    corner = st.corner(lin.u, lin.v, state)
-    if not corner.coeff(0) == GQ_ONE:
-        raise InternalError("corner series does not start at 1")
-    for k in range(1, eng_order + 1):
-        if k % lin.m and not corner.coeff(k).is_zero():
-            raise InternalError(
-                "corner series has weight at z^%d, not a multiple of %d"
-                % (k, lin.m)
-            )
-    values = tuple(corner.coeff(lin.m * k) for k in range(1, order + 1))
-    return MomentSeq(values, state)
+    out = []
+    for state in states:
+        corner = st.corner(lin.u, lin.v, state)
+        if not corner.coeff(0) == GQ_ONE:
+            raise InternalError("corner series does not start at 1")
+        for k in range(1, eng_order + 1):
+            if k % lin.m and not corner.coeff(k).is_zero():
+                raise InternalError(
+                    "corner series has weight at z^%d, not a multiple of %d"
+                    % (k, lin.m)
+                )
+        values = tuple(corner.coeff(lin.m * k) for k in range(1, order + 1))
+        out.append(MomentSeq(values, state))
+    return tuple(out)

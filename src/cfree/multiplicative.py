@@ -10,9 +10,8 @@ and carry the whole product theory: M^psi of XY is M^psi_X composed
 with omega_X, the Boolean transform of XY in either state factors as
 eta^st_X(omega_X) * eta^st_Y(omega_Y) pointwise in the shifted picture,
 and the phi-transform of the product is the geometric series in that
-factored symbol.  The fixed point is triangular order by order, exactly
-as in the additive engine, so finitely many sweeps settle it and one
-extra sweep certifies it.
+factored symbol.  The fixed point is triangular order by order, and the
+engine's driver grows it one order at a time and certifies it at the end.
 
 sigma_transform computes the multiplicative symbol of a single pair of
 marginals: the shifted phi-Boolean transform reparametrized by the
@@ -23,7 +22,7 @@ property, checked in the tests, is multiplicativity over the product.
 from __future__ import annotations
 
 from .cumulants import MomentSeq, boolean_from_moments, eta_series
-from .engine import _settle
+from .engine import _settle, _z_times
 from .errors import DomainError
 from .scalars import GQ_ONE, GQ_ZERO
 from .series import TruncSeries
@@ -64,18 +63,15 @@ class SubordinationPair:
 
 
 def _advance(eta, omega_other, order):
-    """z * etat(omega_other), truncated to the order."""
-    if order == 0:
-        return TruncSeries.constant(GQ_ZERO, 0)
-    t = eta.compose_shifted(omega_other)
-    return TruncSeries((GQ_ZERO,) + t.truncated(order - 1).coeffs)
+    """z * etat(omega_other) at the order, from omega_other exact below it."""
+    return _z_times(eta.compose_shifted(omega_other), order)
 
 
 def subordination_pair(spec, order):
     """Solve the coupled subordination fixed point at the given order.
 
-    Needs spec.order >= order.  Runs order+1 Jacobi sweeps plus one
-    certification sweep that must leave the pair unchanged.
+    Needs spec.order >= order.  Grows the pair one order at a time; a last
+    sweep at the full order must leave it unchanged.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -85,14 +81,14 @@ def subordination_pair(spec, order):
         )
     eta_x = spec.eta("x", "psi")
     eta_y = spec.eta("y", "psi")
-    zero = TruncSeries.constant(GQ_ZERO, order)
+    zero = TruncSeries.constant(GQ_ZERO, 0)
     omega_x, omega_y = _settle(
-        lambda pair: (
-            _advance(eta_y, pair[1], order),
-            _advance(eta_x, pair[0], order),
+        lambda pair, t: (
+            _advance(eta_y, pair[1], t),
+            _advance(eta_x, pair[0], t),
         ),
         (zero, zero),
-        order + 1,
+        order,
     )
     return SubordinationPair(omega_x, omega_y)
 

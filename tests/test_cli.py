@@ -198,6 +198,12 @@ def test_poly_values_may_begin_with_minus(spec_files, capsys):
         assert run(capsys, argv[0], option[:-1], *argv[1:])[0] == 2
         assert run(capsys, *argv, option, "--sp", spec[1])[0] == 2
         assert run(capsys, *argv, option, "--")[0] == 2
+        # argparse drops a "--" value given with "=": a parse error, not an
+        # empty polynomial
+        for spelling in (option, option[:-1]):
+            code, out, err = run(capsys, *argv, spelling + "=--")
+            assert (code, out) == (2, "")
+            assert err == "cfree: argument %s: expected a polynomial\n" % option
 
 
 def test_cumulants_kinds(spec_files, capsys):

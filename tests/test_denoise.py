@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfree import engine
 from cfree.cumulants import MomentSeq
 from cfree.denoise import (
     ProjectionResult,
@@ -21,6 +22,7 @@ from cfree.denoise import (
     l2_project,
     weighted_state,
 )
+from cfree.engine import poly_distribution
 from cfree.errors import DomainError
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.scalars import GQ_ONE, GQ_ZERO, GaussianRational, gq
@@ -152,6 +154,28 @@ def test_commutator_distributions_under_the_weight():
     phi_m, psi_m = distributions_of_poly(ws, COMMUTATOR, 6)
     assert list(psi_m.values) == gq_list([0, 2, 0, 8, 0, 40])
     assert list(phi_m.values) == gq_list([0, 3, 0, 14, 0, 76])
+
+
+def test_distributions_of_poly_solves_once(monkeypatch):
+    ws = weighted_state(
+        semicircle_moments(1, 12), bernoulli_moments(12), "1 + x^2", 10
+    )
+    p = parse_poly("x*y + y*x - x^2")
+    separate = tuple(
+        poly_distribution(ws.spec, p, state, 5) for state in ("phi", "psi")
+    )
+    solves = []
+    original = engine.solve_fixed_point
+
+    def counted(*args):
+        solves.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(engine, "solve_fixed_point", counted)
+    both = distributions_of_poly(ws, p, 5)
+    assert solves == [10]
+    assert both == separate
+    assert [m.state for m in both] == ["phi", "psi"]
 
 
 def test_moment_level_radon_nikodym(spec20):

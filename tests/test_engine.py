@@ -14,7 +14,6 @@ from cfree.cumulants import boolean_from_moments, eta_series
 from cfree.engine import (
     EngineState,
     _settle,
-    phi_resolvents,
     poly_distribution,
     resolvent_series,
     solve_fixed_point,
@@ -168,6 +167,15 @@ def test_f_blocks_are_letterwise_functionals():
                     )
 
 
+def phi_resolvents(state):
+    """The phi analogues (I - z A F^phi_X)^{-1}, (I - z B F^phi_Y)^{-1}."""
+    sub = state.h_x.order
+    ident = TruncSeries.constant(SquareMatrix.identity(state.n), sub)
+    hx = (ident - (state.a * state.f_x_phi).shift(1)).inverse()
+    hy = (ident - (state.b * state.f_y_phi).shift(1)).inverse()
+    return hx, hy
+
+
 def test_phi_resolvents_are_partial_block_functionals():
     rng = random.Random(29)
     spec = random_spec(rng, 6)
@@ -261,11 +269,30 @@ def test_solve_is_deterministic_and_state_immutable():
 
 
 def test_settle_certificate_rejects_a_step_that_never_settles():
-    # Engine and subordination both trust this gate: after the fixed
-    # number of sweeps, one more must change nothing.
+    # Engine and subordination both trust this gate: after the sweeps at
+    # orders 0..2, one more at the full order must change nothing.
     with pytest.raises(InternalError, match="failed to stabilize after 4 sweeps"):
-        _settle(lambda k: k + 1, 0, 3)
-    assert _settle(lambda k: min(k + 1, 2), 0, 3) == 2
+        _settle(lambda k, t: k + 1, 0, 2)
+    assert _settle(lambda k, t: min(k + 1, 2), 0, 2) == 2
+
+
+def test_settle_certificate_rejects_a_step_wrong_only_at_full_order():
+    # The step returns the truncations of 1/(1 - z) below the full order,
+    # but at the full order its top coefficient drifts with its input: the
+    # growing sweeps cannot see that, the certificate must.
+    target = TruncSeries((GQ_ONE,) * 5)
+
+    def step(state, t):
+        if t < 4:
+            return target.truncated(t)
+        top = state.coeff(4) + GQ_ONE if state.order == 4 else GQ_ONE
+        return TruncSeries(target.coeffs[:4] + (top,))
+
+    with pytest.raises(InternalError, match="failed to stabilize after 6 sweeps"):
+        _settle(step, target.truncated(0), 4)
+    # the same step with a consistent top coefficient settles to the target
+    exact = _settle(lambda state, t: target.truncated(t), target.truncated(0), 4)
+    assert exact == target
 
 
 def test_dimension_mismatch_rejected():

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -103,9 +105,24 @@ def test_parse_gaussian_forms():
 
 
 def test_parse_gaussian_rejects():
-    for text in ["", "1+1", "i+i", "1.5", "2+3", "i*i", "1+2+3*i", "x"]:
+    for text in ["", "1+1", "i+i", "1.5", "2+3", "i*i", "1+2+3*i", "x", "3+i/2"]:
         with pytest.raises(ParseError):
             parse_gaussian(text)
+
+
+def test_readme_spec_scalars_parse():
+    # README names the exact spellings a spec accepts; an imaginary part is
+    # written b*i (or bi), never i/b
+    readme_path = Path(__file__).resolve().parents[1] / "README.md"
+    readme = readme_path.read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Numbers must be exact") :]
+    paragraph = paragraph[: paragraph.index("\n\n")]
+    literals = re.findall(r'`"([^"`]*)"`', paragraph)
+    assert literals == ["1/2", "3+1/2*i"]
+    assert [parse_gaussian(s) for s in literals] == [
+        gq(Fraction(1, 2)),
+        gq(3, Fraction(1, 2)),
+    ]
 
 
 def test_parse_rational_strict():
