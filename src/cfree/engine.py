@@ -15,10 +15,13 @@ come out as matrix geometric series in the solved blocks:
     M^phi(z) = (I - z A F^phi_X - z B F^phi_Y)^{-1}
     M^psi(z) = (I - z A F_X    - z B F_Y   )^{-1}
 
-Everything is exact: the system is triangular order by order, so the
-psi blocks grow one order at a time, each sweep exact at its order, and
-one sweep at the full order certifies the fixed point.  The phi blocks do
-not feed back; they are read once from the settled H_X and H_Y.
+Everything is exact: the system is triangular order by order, so it is
+solved online (van der Hoeven's relaxed scheme): at step t each psi block
+gains its z^t coefficient, computed from the coefficients below t, and
+the powers of each argument W = z H_Y A, z H_X B gain one coefficient
+too instead of being rebuilt.  One sweep at the full order, recomputing
+everything from scratch, certifies the fixed point.  The phi blocks do
+not feed back; they are scalar combinations of the stored powers.
 
 Order bookkeeping: with target order N, the six subordination blocks are
 carried at order N-1 (their z^N coefficients would need cumulants of order
@@ -160,26 +163,84 @@ class EngineState:
         return self.mgf(which).map(lambda mat: mat.apply_bilinear(u, v))
 
 
-def _settle(step, start, order):
-    """Grow a triangular fixed point one order at a time, then certify.
+def _settle(step, sweep, width, order):
+    """Solve a triangular fixed point online, then certify it.
 
-    step(state, t) returns the iterate at order t, exact when its input is
-    exact to t - 1.  One more call at the full order must return its input
-    unchanged, or InternalError is raised.
+    step(blocks, t) returns the z^t coefficient of each of the width
+    blocks, computed only from the coefficients below t that blocks (the
+    lists grown so far) hold.  After the steps t = 0 ... order, one sweep
+    at the full order, sweep(series, order), recomputes every block from
+    scratch; it must return the grown series unchanged, or InternalError
+    is raised.
     """
-    state = start
+    blocks = tuple([] for _ in range(width))
     for t in range(order + 1):
-        state = step(state, t)
-    if step(state, order) != state:
+        for block, c in zip(blocks, step(blocks, t)):
+            block.append(c)
+    grown = tuple(TruncSeries(block) for block in blocks)
+    if sweep(grown, order) != grown:
         raise InternalError(
             "subordination fixed point failed to stabilize after %d sweeps"
             % (order + 2)
         )
-    return state
+    return grown
+
+
+def _cauchy(p, q, k, zero):
+    """[z^k] of the product of coefficient lists p and q (p on the left)."""
+    acc = None
+    for j in range(k + 1):
+        a = p[j]
+        b = q[k - j]
+        if a.is_zero() or b.is_zero():
+            continue
+        term = a * b
+        acc = term if acc is None else acc + term
+    return zero if acc is None else acc
+
+
+class _Powers:
+    """The powers W^0, W^1, ... of a series W that grows one coefficient
+    at a time (W has zero constant term, so [z^t] W^m = 0 for m > t).
+
+    extend(c) appends W's next coefficient c and every power's coefficient
+    at that index, from the stored lower ones: nothing is rebuilt.
+    shifted(eta, t) reads [z^t] sum_{k>=1} b_k W^{k-1}, the coefficient
+    that eta.compose_shifted(W) has there, as a scalar combination.
+    """
+
+    __slots__ = ("one", "zero", "powers")
+
+    def __init__(self, one):
+        self.one = one
+        self.zero = one.zero_like()
+        self.powers = [[], []]  # powers[m][j] = [z^j] W^m
+
+    def extend(self, c):
+        powers = self.powers
+        t = len(powers[0])
+        powers[0].append(self.one if t == 0 else self.zero)
+        w = powers[1]
+        w.append(c)
+        if t >= 2:
+            powers.append([self.zero] * t)
+        for m in range(2, len(powers)):
+            powers[m].append(_cauchy(powers[m - 1], w, t, self.zero))
+
+    def shifted(self, eta, t):
+        acc = None
+        for k in range(1, min(t + 1, eta.order) + 1):
+            b = eta.coeffs[k]
+            power = self.powers[k - 1][t]
+            if b.is_zero() or power.is_zero():
+                continue
+            term = b * power
+            acc = term if acc is None else acc + term
+        return self.zero if acc is None else acc
 
 
 def _sweep(spec, a_s, b_s, ident, blocks, t):
-    """The four psi blocks at order t from an iterate exact to order t - 1."""
+    """The four psi blocks at order t, recomputed from scratch."""
     h_x, h_y, f_x, f_y = blocks
     return (
         (ident - _z_times(a_s * f_x, t)).inverse(),
@@ -194,8 +255,9 @@ def solve_fixed_point(spec, a, b, order):
 
     A and B may be constant matrices, stacks of z-coefficients, or matrix
     series; they must be square and of equal size.  Needs spec.order >=
-    order.  Grows the psi blocks one order at a time; a last sweep at the
-    full order must be a no-op, or InternalError is raised.
+    order.  Grows the psi blocks one coefficient at a time; a last sweep
+    at the full order must return them unchanged, or InternalError is
+    raised.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -209,15 +271,40 @@ def solve_fixed_point(spec, a, b, order):
     if nb != n:
         raise DomainError("A and B must have the same size")
 
-    ident = TruncSeries.constant(SquareMatrix.identity(n), sub)
-    zero = TruncSeries.constant(SquareMatrix.zeros(n), 0)
+    one = SquareMatrix.identity(n)
+    zero = SquareMatrix.zeros(n)
+    a_c, b_c = a_s.coeffs, b_s.coeffs
+    eta_x, eta_y = spec.eta("x", "psi"), spec.eta("y", "psi")
+    w_x, w_y = _Powers(one), _Powers(one)  # W_X = z H_Y A, W_Y = z H_X B
+    af, bf = [], []  # A F_X and B F_Y
+
+    def step(blocks, t):
+        h_x, h_y, f_x, f_y = blocks
+        if t == 0:
+            w_x.extend(zero)
+            w_y.extend(zero)
+            return one, one, w_x.shifted(eta_x, 0), w_y.shifted(eta_y, 0)
+        af.append(_cauchy(a_c, f_x, t - 1, zero))
+        bf.append(_cauchy(b_c, f_y, t - 1, zero))
+        w_x.extend(_cauchy(h_y, a_c, t - 1, zero))
+        w_y.extend(_cauchy(h_x, b_c, t - 1, zero))
+        return (
+            _cauchy(af, h_x, t - 1, zero),  # H = I + z A F H
+            _cauchy(bf, h_y, t - 1, zero),
+            w_x.shifted(eta_x, t),
+            w_y.shifted(eta_y, t),
+        )
+
+    ident = TruncSeries.constant(one, sub)
     h_x, h_y, f_x, f_y = _settle(
+        step,
         lambda blocks, t: _sweep(spec, a_s, b_s, ident, blocks, t),
-        (zero, zero, zero, zero),
+        4,
         sub,
     )
-    f_x_phi = spec.eta("x", "phi").compose_shifted(_z_times(h_y * a_s, sub))
-    f_y_phi = spec.eta("y", "phi").compose_shifted(_z_times(h_x * b_s, sub))
+    phi_x, phi_y = spec.eta("x", "phi"), spec.eta("y", "phi")
+    f_x_phi = TruncSeries(w_x.shifted(phi_x, t) for t in range(sub + 1))
+    f_y_phi = TruncSeries(w_y.shifted(phi_y, t) for t in range(sub + 1))
 
     def transform(fx, fy):
         term = _z_times((a_s * fx) + (b_s * fy), order)

@@ -10,8 +10,10 @@ and carry the whole product theory: M^psi of XY is M^psi_X composed
 with omega_X, the Boolean transform of XY in either state factors as
 eta^st_X(omega_X) * eta^st_Y(omega_Y) pointwise in the shifted picture,
 and the phi-transform of the product is the geometric series in that
-factored symbol.  The fixed point is triangular order by order, and the
-engine's driver grows it one order at a time and certifies it at the end.
+factored symbol.  The fixed point is triangular order by order: the
+engine's driver solves it online, one coefficient of each series per
+step with the powers of omega_X and omega_Y extended as they grow, and
+certifies it by one sweep at the full order.
 
 sigma_transform computes the multiplicative symbol of a single pair of
 marginals: the shifted phi-Boolean transform reparametrized by the
@@ -22,7 +24,7 @@ property, checked in the tests, is multiplicativity over the product.
 from __future__ import annotations
 
 from .cumulants import MomentSeq, boolean_from_moments, eta_series
-from .engine import _settle, _z_times
+from .engine import _Powers, _settle, _z_times
 from .errors import DomainError
 from .scalars import GQ_ONE, GQ_ZERO
 from .series import TruncSeries
@@ -63,15 +65,15 @@ class SubordinationPair:
 
 
 def _advance(eta, omega_other, order):
-    """z * etat(omega_other) at the order, from omega_other exact below it."""
+    """z * etat(omega_other) at the order, recomputed from scratch."""
     return _z_times(eta.compose_shifted(omega_other), order)
 
 
 def subordination_pair(spec, order):
     """Solve the coupled subordination fixed point at the given order.
 
-    Needs spec.order >= order.  Grows the pair one order at a time; a last
-    sweep at the full order must leave it unchanged.
+    Needs spec.order >= order.  Grows the pair one coefficient at a time;
+    a last sweep at the full order must leave it unchanged.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -81,13 +83,19 @@ def subordination_pair(spec, order):
         )
     eta_x = spec.eta("x", "psi")
     eta_y = spec.eta("y", "psi")
-    zero = TruncSeries.constant(GQ_ZERO, 0)
+    p_x, p_y = _Powers(GQ_ONE), _Powers(GQ_ONE)
+
+    def step(pair, t):
+        if t == 0:
+            return GQ_ZERO, GQ_ZERO
+        p_x.extend(pair[0][t - 1])
+        p_y.extend(pair[1][t - 1])
+        return p_y.shifted(eta_y, t - 1), p_x.shifted(eta_x, t - 1)
+
     omega_x, omega_y = _settle(
-        lambda pair, t: (
-            _advance(eta_y, pair[1], t),
-            _advance(eta_x, pair[0], t),
-        ),
-        (zero, zero),
+        step,
+        lambda pair, t: (_advance(eta_y, pair[1], t), _advance(eta_x, pair[0], t)),
+        2,
         order,
     )
     return SubordinationPair(omega_x, omega_y)

@@ -91,15 +91,17 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._common_order(other)
+        left = [(j, c) for j, c in enumerate(self.coeffs[: n + 1]) if not c.is_zero()]
+        live = [not c.is_zero() for c in other.coeffs[: n + 1]]
         out = []
         for k in range(n + 1):
             acc = None
-            for j in range(k + 1):
-                a = self.coeffs[j]
-                b = other.coeffs[k - j]
-                if a.is_zero() or b.is_zero():
+            for j, a in left:
+                if j > k:
+                    break
+                if not live[k - j]:
                     continue
-                term = a * b
+                term = a * other.coeffs[k - j]
                 acc = term if acc is None else acc + term
             if acc is None:
                 acc = self.coeffs[0].zero_like() * other.coeffs[0].zero_like()
@@ -150,13 +152,13 @@ class TruncSeries:
             c0_inv = c0.inverse()
         except DomainError:
             raise DomainError("series inverse needs invertible constant term")
+        live = [(k, c) for k, c in enumerate(self.coeffs) if k and not c.is_zero()]
         out = [c0_inv]
         for n in range(1, self.order + 1):
             acc = None
-            for k in range(1, n + 1):
-                c = self.coeffs[k]
-                if c.is_zero():
-                    continue
+            for k, c in live:
+                if k > n:
+                    break
                 term = c * out[n - k]
                 acc = term if acc is None else acc + term
             if acc is None:
@@ -328,20 +330,23 @@ class SquareMatrix:
             n = self.n
             if other.n != n:
                 raise DomainError("matrix size mismatch")
-            cols = tuple(zip(*other.rows))
+            cols = tuple(
+                tuple((k, b) for k, b in enumerate(col) if not b.is_zero())
+                for col in zip(*other.rows)
+            )
+            zero = self.rows[0][0].zero_like() * other.rows[0][0].zero_like()
             out = []
             for row in self.rows:
+                live = [not a.is_zero() for a in row]
                 out_row = []
                 for col in cols:
                     acc = None
-                    for a, b in zip(row, col):
-                        if a.is_zero() or b.is_zero():
+                    for k, b in col:
+                        if not live[k]:
                             continue
-                        term = a * b
+                        term = row[k] * b
                         acc = term if acc is None else acc + term
-                    if acc is None:
-                        acc = row[0].zero_like() * col[0].zero_like()
-                    out_row.append(acc)
+                    out_row.append(zero if acc is None else acc)
                 out.append(tuple(out_row))
             return SquareMatrix(tuple(out))
         # scalar from the right
@@ -353,9 +358,6 @@ class SquareMatrix:
 
     def scale(self, scalar):
         return self.map(lambda e: scalar * e)
-
-    def transpose(self):
-        return SquareMatrix(tuple(zip(*self.rows)))
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):

@@ -10,16 +10,21 @@ from fractions import Fraction
 
 import pytest
 
+from cfree import engine, multiplicative
 from cfree.cumulants import boolean_from_moments, eta_series
 from cfree.engine import (
     EngineState,
+    _as_matrix_series,
     _settle,
+    _sweep,
+    _z_times,
     poly_distribution,
     resolvent_series,
     solve_fixed_point,
 )
 from cfree.errors import DomainError, InternalError
 from cfree.linearize import linearize
+from cfree.multiplicative import _advance, subordination_pair
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, gq
 from cfree.selfcheck import oracle_moments
@@ -268,31 +273,128 @@ def test_solve_is_deterministic_and_state_immutable():
         st1.mgf("tau")
 
 
+def geometric_sweep(blocks, order):
+    """f -> 1 + z f from scratch; its fixed point is 1/(1 - z)."""
+    (f,) = blocks
+    return (TruncSeries.constant(GQ_ONE, order) + _z_times(f, order),)
+
+
 def test_settle_certificate_rejects_a_step_that_never_settles():
-    # Engine and subordination both trust this gate: after the sweeps at
-    # orders 0..2, one more at the full order must change nothing.
+    # Engine and subordination both trust this gate: after the steps at
+    # orders 0..2, one sweep at the full order must change nothing.  The
+    # map f -> f + 1 has no fixed point, so no grown series survives it.
+    def never(blocks, order):
+        return tuple(f + TruncSeries.constant(GQ_ONE, order) for f in blocks)
+
     with pytest.raises(InternalError, match="failed to stabilize after 4 sweeps"):
-        _settle(lambda k, t: k + 1, 0, 2)
-    assert _settle(lambda k, t: min(k + 1, 2), 0, 2) == 2
+        _settle(lambda blocks, t: (GQ_ONE,), never, 1, 2)
+    grown = _settle(lambda blocks, t: (GQ_ONE,), geometric_sweep, 1, 2)
+    assert grown == (TruncSeries((GQ_ONE,) * 3),)
 
 
 def test_settle_certificate_rejects_a_step_wrong_only_at_full_order():
-    # The step returns the truncations of 1/(1 - z) below the full order,
-    # but at the full order its top coefficient drifts with its input: the
-    # growing sweeps cannot see that, the certificate must.
+    # The step grows the coefficients of 1/(1 - z) exactly below the full
+    # order, but its z^4 coefficient is off by one: every lower step
+    # agrees with the sweep, and only the certificate can see it.
     target = TruncSeries((GQ_ONE,) * 5)
 
-    def step(state, t):
-        if t < 4:
-            return target.truncated(t)
-        top = state.coeff(4) + GQ_ONE if state.order == 4 else GQ_ONE
-        return TruncSeries(target.coeffs[:4] + (top,))
+    def step(blocks, t):
+        return (GQ_ONE + GQ_ONE if t == 4 else GQ_ONE,)
 
     with pytest.raises(InternalError, match="failed to stabilize after 6 sweeps"):
-        _settle(step, target.truncated(0), 4)
+        _settle(step, geometric_sweep, 1, 4)
     # the same step with a consistent top coefficient settles to the target
-    exact = _settle(lambda state, t: target.truncated(t), target.truncated(0), 4)
-    assert exact == target
+    exact = _settle(lambda blocks, t: (GQ_ONE,), geometric_sweep, 1, 4)
+    assert exact == (target,)
+
+
+def corrupting(settle, block, at):
+    """The driver, with one grown coefficient of one block knocked off."""
+
+    def corrupted(step, sweep, width, order):
+        def bad_step(blocks, t):
+            out = list(step(blocks, t))
+            if t == at:
+                out[block] = out[block] + out[block].one_like()
+            return tuple(out)
+
+        return settle(bad_step, sweep, width, order)
+
+    return corrupted
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_certificate_catches_one_corrupted_grown_coefficient(monkeypatch, block):
+    # The steps after the corrupted one build on it consistently; the
+    # full-order sweep recomputes that coefficient from the lower ones.
+    rng = random.Random(47)
+    spec = random_spec(rng, 7)
+    a = rand_matrix(rng, 2)
+    b = rand_matrix(rng, 2)
+    monkeypatch.setattr(engine, "_settle", corrupting(_settle, block, 3))
+    with pytest.raises(InternalError, match="failed to stabilize after 8 sweeps"):
+        solve_fixed_point(spec, a, b, 7)
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_certificate_catches_one_corrupted_subordination_coefficient(
+    monkeypatch, block
+):
+    spec = random_spec(random.Random(53), 7)
+    monkeypatch.setattr(multiplicative, "_settle", corrupting(_settle, block, 3))
+    with pytest.raises(InternalError, match="failed to stabilize after 9 sweeps"):
+        subordination_pair(spec, 7)
+
+
+def jacobi_blocks(spec, a, b, order):
+    """The six blocks by order + 2 full-order sweeps from zero blocks."""
+    sub = max(order - 1, 0)
+    a_s, n = _as_matrix_series(a, sub)
+    b_s, _ = _as_matrix_series(b, sub)
+    ident = TruncSeries.constant(SquareMatrix.identity(n), sub)
+    blocks = (TruncSeries.constant(SquareMatrix.zeros(n), sub),) * 4
+    for _ in range(order + 2):
+        blocks = _sweep(spec, a_s, b_s, ident, blocks, sub)
+    h_x, h_y, _, _ = blocks
+    return blocks + (
+        spec.eta("x", "phi").compose_shifted(_z_times(h_y * a_s, sub)),
+        spec.eta("y", "phi").compose_shifted(_z_times(h_x * b_s, sub)),
+    )
+
+
+def test_online_solve_equals_full_order_jacobi():
+    # Slow cross-check of the online growth: every block, both pencil
+    # kinds, against sweeps that recompute everything from scratch.
+    lin = linearize(parse_poly("x*y + y*x"))
+    for seed in (59, 61, 67):
+        rng = random.Random(seed)
+        spec = random_spec(rng, 10)
+        pencils = (
+            (rand_matrix(rng, 2), rand_matrix(rng, 2)),
+            (lin.a_coeffs, lin.b_coeffs),
+        )
+        for a, b in pencils:
+            for order in range(11):
+                st = solve_fixed_point(spec, a, b, order)
+                online = (st.h_x, st.h_y, st.f_x, st.f_y, st.f_x_phi, st.f_y_phi)
+                assert online == jacobi_blocks(spec, a, b, order), (seed, order)
+
+
+def test_online_subordination_equals_iterated_advance():
+    for seed in (71, 73, 79):
+        spec = random_spec(random.Random(seed), 10)
+        eta_x = spec.eta("x", "psi")
+        eta_y = spec.eta("y", "psi")
+        for order in range(11):
+            zero = TruncSeries.constant(GQ_ZERO, order)
+            omega_x, omega_y = zero, zero
+            for _ in range(order + 2):
+                omega_x, omega_y = (
+                    _advance(eta_y, omega_y, order),
+                    _advance(eta_x, omega_x, order),
+                )
+            pair = subordination_pair(spec, order)
+            assert (pair.omega_x, pair.omega_y) == (omega_x, omega_y), (seed, order)
 
 
 def test_dimension_mismatch_rejected():
