@@ -13,9 +13,10 @@ Two word-level computations and their resolvent-level counterparts:
   X-algebra, but deliberately not a left one; the failure of left
   modularity is what carries the second state.
 
-The recursion used for both maps is a single uniform rule.  Writing
-beta for the y-gated (resp. x-gated) block Boolean functional and
-stripping one leading x by the one-sided module property:
+Both maps are one recursion, _peel, run under state psi for E and
+under state phi for rqce.  Writing beta for the y-gated (resp. x-gated)
+block Boolean functional and stripping one leading x by the one-sided
+module property:
 
     rqce[W]  = beta^phi_y(W)
              + sum_{W=UxV, U nonempty} beta^phi_y(U) rqce[xV]
@@ -23,7 +24,7 @@ stripping one leading x by the one-sided module property:
              + [W starts with x] * x E[W']        (W = xW')
 
     E[W]     = same with phi replaced by psi; the x-gated difference
-               term then cancels identically and drops out.
+               term then cancels identically and is never computed.
 
 The gating makes every coefficient vanish unless the prefix starts and
 ends with the right letter, so each surviving term strictly shortens
@@ -134,7 +135,7 @@ def efree_full(spec, w, guard=DEFAULT_GUARD):
                     if r > s:
                         args.append("x" * runs_x[r])
                     args.append("y" * runs_y[r])
-                factor = multilinear_boolean(spec, "psi", args)
+                factor = multilinear_boolean(spec, "psi", args, guard)
                 weight = factor if weight is None else weight * factor
                 if weight.is_zero():
                     break
@@ -145,25 +146,35 @@ def efree_full(spec, w, guard=DEFAULT_GUARD):
     return CondExpResult(out, "full-formula")
 
 
-def _efree(spec, w, memo):
+def _peel(spec, state, w, memos, guard):
+    """The module's peeling rule: E[W] under psi, rqce[W] under phi.
+
+    Each prefix U is gated by W's first letter and cut where the other
+    letter follows it.  memos maps each state to its word memo.
+    """
     if "y" not in w:
         return NCPolynomial.word(w)
+    memo = memos[state]
     got = memo.get(w)
     if got is not None:
         return got
-    if w[0] == "x":
-        out = NCPolynomial.letter("x") * _efree(spec, w[1:], memo)
+    gate = w[0]
+    if gate == "y":
+        out = NCPolynomial.scalar(partial_block_boolean(spec, state, "y", w, guard))
     else:
-        out = NCPolynomial.zero()
-        head = partial_block_boolean(spec, "psi", "y", w)
-        if not head.is_zero():
-            out = out + NCPolynomial.scalar(head)
+        out = NCPolynomial.letter("x") * _peel(spec, "psi", w[1:], memos, guard)
+    # under psi the x-gated term is beta_x(U) (E - E)[yV] = 0
+    if gate == "y" or state == "phi":
         for k in range(1, len(w)):
-            if w[k] != "x":
+            if w[k] == gate:
                 continue
-            coeff = partial_block_boolean(spec, "psi", "y", w[:k])
-            if not coeff.is_zero():
-                out = out + coeff * _efree(spec, w[k:], memo)
+            coeff = partial_block_boolean(spec, state, gate, w[:k], guard)
+            if coeff.is_zero():
+                continue
+            tail = _peel(spec, state, w[k:], memos, guard)
+            if gate == "x":
+                tail = tail - _peel(spec, "psi", w[k:], memos, guard)
+            out = out + coeff * tail
     memo[w] = out
     return out
 
@@ -171,41 +182,14 @@ def _efree(spec, w, memo):
 def efree_rec(spec, w, guard=DEFAULT_GUARD):
     """E[W] by the peeling recursion; agrees with efree_full."""
     w = _checked_word(w, guard)
-    return CondExpResult(_efree(spec, w, {}), "recursive")
-
-
-def _rqce(spec, w, rmemo, ememo):
-    if "y" not in w:
-        return NCPolynomial.word(w)
-    got = rmemo.get(w)
-    if got is not None:
-        return got
-    out = NCPolynomial.zero()
-    head = partial_block_boolean(spec, "phi", "y", w)
-    if not head.is_zero():
-        out = out + NCPolynomial.scalar(head)
-    for k in range(1, len(w)):
-        if w[k] == "x":
-            coeff = partial_block_boolean(spec, "phi", "y", w[:k])
-            if not coeff.is_zero():
-                out = out + coeff * _rqce(spec, w[k:], rmemo, ememo)
-        else:
-            coeff = partial_block_boolean(spec, "phi", "x", w[:k])
-            if not coeff.is_zero():
-                diff = _rqce(spec, w[k:], rmemo, ememo) - _efree(
-                    spec, w[k:], ememo
-                )
-                out = out + coeff * diff
-    if w[0] == "x":
-        out = out + NCPolynomial.letter("x") * _efree(spec, w[1:], ememo)
-    rmemo[w] = out
-    return out
+    return CondExpResult(_peel(spec, "psi", w, {"psi": {}}, guard), "recursive")
 
 
 def rqce(spec, w, guard=DEFAULT_GUARD):
     """Right quasi-conditional expectation of a word onto the X-algebra."""
     w = _checked_word(w, guard)
-    return CondExpResult(_rqce(spec, w, {}, {}), "recursive")
+    memos = {"psi": {}, "phi": {}}
+    return CondExpResult(_peel(spec, "phi", w, memos, guard), "recursive")
 
 
 def _lift_entries(series):

@@ -124,17 +124,6 @@ def eta_series(boolean, order=None):
     return TruncSeries([GQ_ZERO] + [boolean.value(k) for k in range(1, order + 1)])
 
 
-def eta_tilde_series(boolean, order=None):
-    """eta~(w) = sum beta_k w^{k-1}, the shifted transform.
-
-    Exact to order N-1 when N cumulants are known; asking for more raises.
-    """
-    order = boolean.order - 1 if order is None else order
-    if order + 1 > boolean.order:
-        raise DomainError("eta~ requested beyond available cumulants")
-    return TruncSeries([boolean.value(k) for k in range(1, order + 2)])
-
-
 def _boolean_kind(state):
     return "boolean-psi" if state == "psi" else "boolean-phi"
 

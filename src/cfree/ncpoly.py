@@ -198,22 +198,11 @@ class NCPolynomial:
             e >>= 1
         return result
 
-    def star(self):
-        """The *-involution: reverse each word, conjugate each coefficient."""
-        return _poly({w[::-1]: c.conjugate() for w, c in self.terms.items()})
-
     def inverse(self):
         """Defined for nonzero constants only (matrix pivots need this)."""
         if not self.is_constant() or self.is_zero():
             raise DomainError("only nonzero constant polynomials invert")
         return NCPolynomial((("", self.terms[""].inverse()),))
-
-    def apply_linear(self, fn):
-        """sum_w c_w * fn(w) for a linear functional fn on words."""
-        acc = GQ_ZERO
-        for w, c in self.terms.items():
-            acc = acc + c * fn(w)
-        return acc
 
     # -- protocol glue ---------------------------------------------------------
 

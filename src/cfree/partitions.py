@@ -193,14 +193,6 @@ def enumerate_irreducible(n, guard=None):
     return [p for p in enumerate_nc(n, guard) if p.is_irreducible()]
 
 
-def kernel(colors):
-    """The partition grouping equal labels; blocks ordered by first point."""
-    groups = {}
-    for pos, label in enumerate(colors, start=1):
-        groups.setdefault(label, []).append(pos)
-    return SetPartition(len(colors), list(groups.values()))
-
-
 def is_compatible(p, colors):
     if p.n != len(colors):
         raise DomainError("coloring length differs from ground set")
@@ -245,30 +237,6 @@ def interval_closure(p):
     return SetPartition(
         p.n, [tuple(range(b[0], b[-1] + 1)) for b in outer]
     )
-
-
-def irreducible_components(p):
-    """Restrictions of p to the hull blocks, relabeled to start at 1."""
-    out = []
-    for hull in interval_closure(p).blocks:
-        offset = hull[0] - 1
-        blocks = [
-            tuple(q - offset for q in b)
-            for b in p.blocks
-            if hull[0] <= b[0] and b[-1] <= hull[-1]
-        ]
-        out.append((offset, SetPartition(len(hull), blocks)))
-    return out
-
-
-def concatenate(pieces):
-    """Inverse of irreducible_components: shift and merge the pieces."""
-    blocks = []
-    total = 0
-    for offset, part in pieces:
-        blocks.extend(tuple(q + offset for q in b) for b in part.blocks)
-        total = max(total, offset + part.n)
-    return SetPartition(total, blocks)
 
 
 def is_ll(p, rho):

@@ -42,9 +42,6 @@ class GaussianRational:
     def is_zero(self):
         return not self.re and not self.im
 
-    def is_real(self):
-        return not self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -125,9 +122,6 @@ class GaussianRational:
             e >>= 1
         return result
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     # -- hashing / comparison -------------------------------------------
 
     def __eq__(self, other):
@@ -193,10 +187,6 @@ def parse_rational(text):
         return Fraction(s)
     except ZeroDivisionError:
         raise ParseError("zero denominator in %r" % text) from None
-
-
-def format_rational(value):
-    return str(Fraction(value))
 
 
 def _parse_gaussian_term(term, original):

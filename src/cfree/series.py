@@ -197,20 +197,9 @@ class TruncSeries:
         """
         if not inner.coeffs[0].is_zero():
             raise DomainError("shifted composition needs inner constant term zero")
-        one = inner.coeffs[0].one_like()
-        order = inner.order
         if self.order < 1:
-            return TruncSeries.constant(one.zero_like(), order)
-        power = TruncSeries.constant(one, order)
-        acc = power.scale(self.coeffs[1])
-        for k in range(2, self.order + 1):
-            power = power * inner
-            if power.is_zero():
-                break
-            c = self.coeffs[k]
-            if not c.is_zero():
-                acc = acc + power.scale(c)
-        return acc
+            return TruncSeries.constant(inner.coeffs[0], inner.order)
+        return TruncSeries(self.coeffs[1:]).compose(inner)
 
     def revert(self):
         """Compositional inverse g with self(g(z)) = z + O(z^{N+1}).

@@ -30,7 +30,7 @@ from .cumulants import (
     free_from_moments,
 )
 from .errors import DomainError, LimitError, ParseError
-from .ncpoly import ALPHABET, NCPolynomial, block_factorize, check_word
+from .ncpoly import ALPHABET, block_factorize, check_word
 from .partitions import (
     ENUMERATION_GUARD,
     enumerate_nc,
@@ -199,16 +199,8 @@ class TwoStateSpec:
             return self._word_moment(word, self.free_cumulants, self._psi_memo)
         return self._word_moment(word, self.cfree_cumulants, self._phi_memo)
 
-    def psi_moment(self, word, guard=None):
-        return self.moment("psi", word, guard)
-
-    def phi_moment(self, word, guard=None):
-        return self.moment("phi", word, guard)
-
     def poly_moment(self, state, poly, guard=None):
         """Linear extension of the word moment to polynomials."""
-        if isinstance(poly, str):
-            poly = NCPolynomial.word(poly)
         total = GQ_ZERO
         for word, coeff in poly.terms.items():
             total = total + coeff * self.moment(state, word, guard)
@@ -217,26 +209,23 @@ class TwoStateSpec:
 
 # ---------------------------------------------------------------------------
 # cumulant functionals evaluated against a spec
+#
+# Arguments are words; a product of arguments is their concatenation, read
+# by TwoStateSpec.moment under the caller's guard.
 # ---------------------------------------------------------------------------
 
 
-def multilinear_boolean(spec, state, args):
+def multilinear_boolean(spec, state, args, guard=None):
     """beta_n(a_1, ..., a_n) by the deconcatenation recursion."""
-    args = [NCPolynomial.word(a) if isinstance(a, str) else a for a in args]
     n = len(args)
     if n == 0:
         raise DomainError("Boolean cumulant of no arguments")
     prefix = []
-    products = [NCPolynomial.one()]
-    for a in args:
-        products.append(products[-1] * a)
     for k in range(1, n + 1):
-        value = spec.poly_moment(state, products[k])
+        value = spec.moment(state, "".join(args[:k]), guard)
         for j in range(1, k):
-            suffix = NCPolynomial.one()
-            for a in args[j:k]:
-                suffix = suffix * a
-            value = value - prefix[j - 1] * spec.poly_moment(state, suffix)
+            suffix = spec.moment(state, "".join(args[j:k]), guard)
+            value = value - prefix[j - 1] * suffix
         prefix.append(value)
     return prefix[n - 1]
 
@@ -245,12 +234,8 @@ def _multi_free(spec, args, memo):
     hit = memo.get(args)
     if hit is not None:
         return hit
-    n = len(args)
-    product = NCPolynomial.one()
-    for a in args:
-        product = product * a
-    value = spec.poly_moment("psi", product)
-    for p in enumerate_nc(n):
+    value = spec.moment("psi", "".join(args))
+    for p in enumerate_nc(len(args)):
         if p.num_blocks() == 1:
             continue
         term = GQ_ONE
@@ -267,24 +252,17 @@ def _multi_free(spec, args, memo):
 
 def multilinear_free(spec, args):
     """r_n(a_1, ..., a_n): top coefficient of the noncrossing moment sum."""
-    args = tuple(
-        NCPolynomial.word(a) if isinstance(a, str) else a for a in args
-    )
     if not args:
         raise DomainError("free cumulant of no arguments")
-    return _multi_free(spec, args, {})
+    return _multi_free(spec, tuple(args), {})
 
 
 def _multi_cfree(spec, args, free_memo, cfree_memo):
     hit = cfree_memo.get(args)
     if hit is not None:
         return hit
-    n = len(args)
-    product = NCPolynomial.one()
-    for a in args:
-        product = product * a
-    value = spec.poly_moment("phi", product)
-    for p in enumerate_nc(n):
+    value = spec.moment("phi", "".join(args))
+    for p in enumerate_nc(len(args)):
         if p.num_blocks() == 1:
             continue
         outer, inner = outer_inner(p)
@@ -304,24 +282,21 @@ def _multi_cfree(spec, args, free_memo, cfree_memo):
 
 def multilinear_cfree(spec, args):
     """r^{phi,psi}_n(a_1, ..., a_n): outer blocks c-free, inner blocks free."""
-    args = tuple(
-        NCPolynomial.word(a) if isinstance(a, str) else a for a in args
-    )
     if not args:
         raise DomainError("c-free cumulant of no arguments")
-    return _multi_cfree(spec, args, {}, {})
+    return _multi_cfree(spec, tuple(args), {}, {})
 
 
-def block_boolean(spec, state, word):
+def block_boolean(spec, state, word, guard=None):
     """Boolean cumulant of the maximal single-letter runs of the word."""
     check_word(word)
     if word == "":
         return GQ_ONE
-    runs = [NCPolynomial.word(ch * k) for ch, k in block_factorize(word)]
-    return multilinear_boolean(spec, state, runs)
+    runs = [ch * k for ch, k in block_factorize(word)]
+    return multilinear_boolean(spec, state, runs, guard)
 
 
-def partial_block_boolean(spec, state, letter, word):
+def partial_block_boolean(spec, state, letter, word, guard=None):
     """block_boolean on words framed by the letter, zero otherwise."""
     check_word(letter)
     check_word(word)
@@ -329,7 +304,7 @@ def partial_block_boolean(spec, state, letter, word):
         return GQ_ONE
     if word[0] != letter or word[-1] != letter:
         return GQ_ZERO
-    return block_boolean(spec, state, word)
+    return block_boolean(spec, state, word, guard)
 
 
 def letterwise_boolean(spec, state, word):
@@ -375,9 +350,6 @@ def letterwise_boolean_poly(spec, state, poly, partial=None):
 
 def nested_two_state_boolean(spec, p, args, method="direct"):
     """Outer blocks under phi, inner under psi; or the ll-refinement sum."""
-    args = tuple(
-        NCPolynomial.word(a) if isinstance(a, str) else a for a in args
-    )
     if len(args) != p.n:
         raise DomainError("argument count differs from ground set")
     if method == "direct":
@@ -420,9 +392,6 @@ def nested_two_state_boolean(spec, p, args, method="direct"):
 def vnrp_boolean_phi(spec, args, colors):
     """beta^phi_n(a_1..a_n) as the VNRP sum over irreducible colored
     partitions, each weighted outer-phi / inner-psi."""
-    args = tuple(
-        NCPolynomial.word(a) if isinstance(a, str) else a for a in args
-    )
     colors = tuple(colors)
     if len(args) != len(colors):
         raise DomainError("one color per argument required")

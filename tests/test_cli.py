@@ -13,7 +13,7 @@ import pytest
 
 from cfree import selfcheck
 from cfree.cli import main
-from cfree.condexp import efree_resolvent, rqce
+from cfree.condexp import efree_rec, efree_resolvent, rqce
 from cfree.linearize import linearize
 from cfree.ncpoly import parse_poly
 from cfree.twostate import spec_from_json
@@ -420,6 +420,20 @@ def test_condexp_guard(spec_files, capsys):
     code, out, err = condexp("phi", "x" * 300 + "y")
     assert (code, out) == (3, "")
     assert "spec order 10" in err and "guard" not in err
+    # 16 letters framed by y, so the whole word's moment is read; SPEC20
+    # has phi = psi, so rqce answers E as well
+    word = "yxxyyxxyyxxyyxxy"
+    expected = efree_rec(spec_from_json(SPEC20), word, guard=20).poly
+    terms = [[w, str(expected.terms[w])] for w in expected.words()]
+    assert terms
+    for state in ("psi", "phi"):
+        code, out, err = run(
+            capsys, "condexp", "--spec", spec_files["spec20"], "--state",
+            state, "--word", word, "--guard", "20",
+        )
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"source": "recursive", "terms": terms}
 
 
 def test_denoise_frozen_example(spec_files, capsys):

@@ -293,6 +293,16 @@ def test_guard_and_letter_validation(spec):
     assert efree_rec(big, long_word, guard=12).poly == efree_full(
         big, long_word, guard=12
     ).poly
+    # 16 letters is past the oracle's default guard of 14: every moment
+    # the functionals read is taken under the caller's guard
+    word = "".join(random.Random(16).choice("xy") for _ in range(16))
+    deep = random_spec(random.Random(17), 16)
+    e = efree_rec(deep, word, guard=20).poly
+    assert e == efree_full(deep, word, guard=20).poly
+    r = rqce(deep, word, guard=20).poly
+    assert deep.poly_moment("phi", r, guard=20) == deep.moment(
+        "phi", word, guard=20
+    )
 
 
 def lift(series):

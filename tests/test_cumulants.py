@@ -10,7 +10,6 @@ from cfree.cumulants import (
     boolean_products,
     cfree_from_two_moments,
     eta_series,
-    eta_tilde_series,
     free_from_moments,
     moments_from_boolean,
     moments_from_free,
@@ -85,24 +84,13 @@ def test_eta_and_mgf():
     m_series = SEMICIRCLE_M.series()
     one = TruncSeries.constant(GQ_ONE, eta.order)
     assert (one - eta).inverse() == m_series
+    with pytest.raises(DomainError):
+        eta_series(beta, order=7)
     rng = random.Random(4)
     for _ in range(10):
         m = rand_moments(rng, 10)
         eta = eta_series(boolean_from_moments(m))
         assert (TruncSeries.constant(GQ_ONE, 10) - eta).inverse() == m.series()
-
-
-def test_eta_tilde():
-    beta = boolean_from_moments(SEMICIRCLE_M)
-    tilde = eta_tilde_series(beta)
-    assert tilde.coeffs == tuple(gq(c) for c in (0, 1, 0, 1, 0, 2))
-    assert eta_tilde_series(beta, order=2).coeffs == tuple(
-        gq(c) for c in (0, 1, 0)
-    )
-    with pytest.raises(DomainError):
-        eta_tilde_series(beta, order=6)
-    with pytest.raises(DomainError):
-        eta_series(beta, order=7)
 
 
 # -- free -----------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_theta_rotation_gives_same_projection():
     expected = gq_list([Fraction(1, 2), 0, Fraction(1, 4)])
     for theta in (GQ_ONE, gq(0, 1), gq(Fraction(3, 5), Fraction(4, 5))):
         twisted = NCPolynomial.word("xy", theta) + NCPolynomial.word(
-            "yx", theta.conjugate()
+            "yx", gq(theta.re, -theta.im)
         )
         result = l2_project(spec, "x^2", twisted, 2)
         assert list(result.coefficients) == expected

@@ -1,7 +1,9 @@
-"""Source hygiene: every name a cfree module imports is used or exported."""
+"""Source hygiene: every name a cfree module imports is used or exported,
+and every name it defines has a caller outside the tests."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -59,3 +61,151 @@ def test_no_unused_imports(path):
         path.name,
         ", ".join("%s (line %d)" % (name, line) for line, name in found),
     )
+
+
+# -- every library name has a caller outside the tests ------------------------
+
+ROOT = PACKAGE.parents[1]
+
+# Names that nothing in src/, perfbench/ or README.md reaches, kept on
+# purpose.  Each is an independent slow path that the tests check a fast
+# one against, or says what else keeps it.  Delete an entry when its name
+# gains a caller or goes away; the last test below insists on that.
+SLOW_REFERENCES = {
+    "partitions.closure_check": "the closure-lemma check that regroups "
+    "the free-cumulant sum into Boolean cumulants, cross-checking "
+    "boolean_from_moments against free_from_moments",
+    "partitions.interval_closure": "the closure operator of that check "
+    "and of criterion 8's closure axioms",
+    "partitions.SetPartition.is_noncrossing": "checks enumerate_nc's "
+    "output against the definition of a noncrossing partition",
+    "partitions.SetPartition.discrete": "the bottom of the partition "
+    "lattice in the partitioned_functional and boolean_products tests",
+    "cumulants.boolean_products": "the interval-product identity that "
+    "cross-checks block_boolean against letterwise cumulants",
+    "cumulants.partition_weight": "the free-cumulant partition sum that "
+    "cross-checks free_from_moments and moments_from_free",
+    "cumulants.partition_weight_outer_inner": "the outer/inner partition "
+    "sum that cross-checks cfree_from_two_moments",
+    "twostate.multilinear_free": "the Moebius recursion that "
+    "cross-checks TwoStateSpec.free_cumulants",
+    "twostate.multilinear_cfree": "the Moebius recursion that "
+    "cross-checks TwoStateSpec.cfree_cumulants",
+    "twostate.block_boolean_poly": "the block Boolean functionals that "
+    "cross-check the engine's H blocks",
+    "twostate.letterwise_boolean_poly": "the letterwise Boolean "
+    "functionals that cross-check the engine's F blocks",
+    "engine.resolvent_series": "the word resolvent whose coefficientwise "
+    "condexp cross-checks efree_resolvent and rqce_resolvent",
+    "series.TruncSeries.variable": "the series z, against which the "
+    "tests check composition, reversion and subordination",
+    "series.TruncSeries.agrees_with": "compares the solved subordination "
+    "series with eta compositions up to an order",
+    "scalars.gq": "the short constructor the tests write exact values with",
+    "twostate.hankel_warnings": "positivity diagnostics on the marginals, "
+    "waiting for the --stats report of ROADMAP item 6",
+}
+
+
+def definitions(tree):
+    """Top-level functions and classes, and the methods of those classes.
+
+    Dunder methods are left out: the language calls them.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+def names_in(tree, strings=False):
+    """(name, line) for every name, attribute and imported name read.
+
+    With strings, identifiers inside string constants count too: the
+    benchmark tracer names what it patches as dotted strings.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif strings and isinstance(node, ast.Constant):
+            if isinstance(node.value, str):
+                for word in re.findall(r"[A-Za-z_]\w*", node.value):
+                    yield word, node.lineno
+
+
+def unreferenced(modules, outside):
+    """Definitions in modules (name -> source) that nothing else names.
+
+    A definition is named when another module or the outside name set
+    reads its name, or its own module does outside the definition's own
+    lines (so self-recursion alone does not count).
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reads = {name: list(names_in(tree)) for name, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            bare = qualname.rpartition(".")[2]
+            own = range(node.lineno, node.end_lineno + 1)
+            if bare in outside or any(
+                word == bare and (other != module or line not in own)
+                for other, words in reads.items()
+                for word, line in words
+            ):
+                continue
+            found.append("%s.%s" % (module, qualname))
+    return sorted(found)
+
+
+def library_unreferenced():
+    outside = set(
+        re.findall(r"[A-Za-z_]\w*", (ROOT / "README.md").read_text(encoding="utf-8"))
+    )
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside.update(word for word, _ in names_in(tree, strings=True))
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    return unreferenced(modules, outside)
+
+
+def test_reference_checker_sees_callers_and_self_recursion():
+    modules = {
+        "a": (
+            "def used():\n"
+            "    pass\n"
+            "def lonely(n):\n"
+            "    return lonely(n - 1)\n"
+            "class K:\n"
+            "    def method(self):\n"
+            "        pass\n"
+            "    def __eq__(self, other):\n"
+            "        return True\n"
+        ),
+        "b": "from .a import used\nused()\n",
+    }
+    assert unreferenced(modules, set()) == ["a.K", "a.K.method", "a.lonely"]
+    assert unreferenced(modules, {"K", "method", "lonely"}) == []
+
+
+def test_every_library_name_has_a_caller_outside_the_tests():
+    found = [n for n in library_unreferenced() if n not in SLOW_REFERENCES]
+    assert not found, (
+        "reached only from tests; delete these or add each to "
+        "SLOW_REFERENCES with the fast path it cross-checks: %s"
+        % ", ".join(found)
+    )
+
+
+def test_slow_references_are_still_only_reached_by_tests():
+    stale = sorted(set(SLOW_REFERENCES) - set(library_unreferenced()))
+    assert not stale, "drop these SLOW_REFERENCES entries: %s" % ", ".join(stale)

@@ -8,17 +8,14 @@ from cfree.errors import DomainError, LimitError
 from cfree.partitions import (
     SetPartition,
     closure_check,
-    concatenate,
     enumerate_interval,
     enumerate_irreducible,
     enumerate_nc,
     enumerate_nc_colored,
     interval_closure,
-    irreducible_components,
     is_compatible,
     is_ll,
     is_vnrp,
-    kernel,
     nesting_parents,
     outer_inner,
     vnrp_closure,
@@ -148,12 +145,6 @@ def test_guard():
 # -- colorings -------------------------------------------------------------
 
 
-def test_kernel():
-    assert kernel("xyx").blocks == ((1, 3), (2,))
-    assert kernel("xxx").blocks == ((1, 2, 3),)
-    assert kernel("xy").blocks == ((1,), (2,))
-
-
 def test_compatibility():
     p = part(3, (1, 3), (2,))
     assert is_compatible(p, "xyx")
@@ -213,18 +204,6 @@ def test_interval_closure_axioms():
             for q in parts:
                 if p.leq(q):
                     assert cp.leq(interval_closure(q))
-
-
-def test_irreducible_components_concatenate():
-    p = part(7, (1, 3), (2,), (4,), (5, 7), (6,))
-    pieces = irreducible_components(p)
-    assert [piece.n for _, piece in pieces] == [3, 1, 3]
-    assert [offset for offset, _ in pieces] == [0, 3, 4]
-    assert all(piece.is_irreducible() for _, piece in pieces)
-    assert concatenate(pieces) == p
-    for n in range(1, 7):
-        for q in enumerate_nc(n):
-            assert concatenate(irreducible_components(q)) == q
 
 
 # -- the ll order ----------------------------------------------------------

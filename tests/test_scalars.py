@@ -12,7 +12,6 @@ from cfree.scalars import (
     GQ_ZERO,
     GaussianRational,
     format_gaussian,
-    format_rational,
     gq,
     parse_gaussian,
     parse_rational,
@@ -62,8 +61,8 @@ def test_conjugate_and_norm():
     for _ in range(50):
         v = gq(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
                Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-        n = v * v.conjugate()
-        assert n.is_real()
+        n = v * gq(v.re, -v.im)
+        assert not n.im
         assert n.re >= 0
         if not v.is_zero():
             assert v * v.inverse() == GQ_ONE
@@ -127,7 +126,6 @@ def test_readme_spec_scalars_parse():
 
 def test_parse_rational_strict():
     assert parse_rational("-4/6") == Fraction(-2, 3)
-    assert format_rational(Fraction(-2, 3)) == "-2/3"
     for text in ["", "1.5", "1e3", "1/0", "--1", "1/-2"]:
         with pytest.raises(ParseError):
             parse_rational(text)

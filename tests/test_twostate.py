@@ -143,28 +143,28 @@ def test_cumulants_read_on_demand_change_no_answer():
 def test_moment_on_marginal_words():
     spec = semicircle_bernoulli(8)
     for n in range(1, 9):
-        assert spec.psi_moment("x" * n) == spec.marginal("x").moment(n)
-        assert spec.phi_moment("y" * n) == spec.marginal("y", "phi").moment(n)
+        assert spec.moment("psi", "x" * n) == spec.marginal("x").moment(n)
+        assert spec.moment("phi", "y" * n) == spec.marginal("y", "phi").moment(n)
 
 
 def test_moment_guards():
     spec = semicircle_bernoulli(4)
     with pytest.raises(DomainError):
-        spec.psi_moment("xyxyx")
+        spec.moment("psi", "xyxyx")
     big = semicircle_bernoulli(16)
     with pytest.raises(LimitError):
-        big.psi_moment("xy" * 8)
-    assert big.psi_moment("xy" * 8, guard=16) is not None
+        big.moment("psi", "xy" * 8)
+    assert big.moment("psi", "xy" * 8, guard=16) is not None
     with pytest.raises(DomainError):
         spec.moment("theta", "xx")
     with pytest.raises(DomainError):
-        spec.psi_moment("xz")
+        spec.moment("psi", "xz")
 
 
 def test_empty_word():
     spec = semicircle_bernoulli(2)
-    assert spec.psi_moment("") == GQ_ONE
-    assert spec.phi_moment("") == GQ_ONE
+    assert spec.moment("psi", "") == GQ_ONE
+    assert spec.moment("phi", "") == GQ_ONE
 
 
 # -- the oracle against literal enumeration -----------------------------------
@@ -175,7 +175,7 @@ def test_psi_matches_enumeration():
     spec = random_spec(rng, 7)
     words = ["x", "xy", "xyx", "xxyy", "xyxy", "xyxxy", "yxyxyx", "xxyyxyx"]
     for w in words:
-        assert spec.psi_moment(w) == brute_psi(spec, w)
+        assert spec.moment("psi", w) == brute_psi(spec, w)
 
 
 def test_phi_matches_enumeration():
@@ -183,14 +183,14 @@ def test_phi_matches_enumeration():
     spec = random_spec(rng, 7)
     words = ["x", "xy", "xyx", "xxyy", "xyxy", "yxxxy", "xyxyxy", "xyyxxyx"]
     for w in words:
-        assert spec.phi_moment(w) == brute_phi(spec, w)
+        assert spec.moment("phi", w) == brute_phi(spec, w)
 
 
 def test_phi_collapses_when_states_match():
     rng = random.Random(37)
     spec = random_spec(rng, 6, distinct_phi=False)
     for w in ["xy", "xyx", "xxyy", "xyxyx", "yxxyxy"]:
-        assert spec.phi_moment(w) == spec.psi_moment(w)
+        assert spec.moment("phi", w) == spec.moment("psi", w)
 
 
 def test_commutator_moments():
@@ -205,8 +205,8 @@ def test_pyramidal_word():
     # phi(xyx) = phi(x^2) psi(y) + phi(x)^2 (phi(y) - psi(y))
     x2 = spec.marginal("x", "phi").moment(2)
     y1 = spec.marginal("y").moment(1)
-    assert spec.phi_moment("xyx") == x2 * y1
-    assert spec.phi_moment("xyx") == gq(2)
+    assert spec.moment("phi", "xyx") == x2 * y1
+    assert spec.moment("phi", "xyx") == gq(2)
 
 
 def test_poly_moment_linearity():
@@ -266,7 +266,7 @@ def test_multilinear_boolean_word_args():
     rng = random.Random(47)
     spec = random_spec(rng, 8)
     got = multilinear_boolean(spec, "psi", ("xy", "yx"))
-    direct = spec.psi_moment("xyyx") - spec.psi_moment("xy") * spec.psi_moment(
+    direct = spec.moment("psi", "xyyx") - spec.moment("psi", "xy") * spec.moment("psi", 
         "yx"
     )
     assert got == direct
