@@ -12,7 +12,8 @@ Output is deterministic: JSON with keys in fixed order and every
 rational printed as a string; CSV is offered only for single scalar
 series; the pretty format is for humans and not stable.  Exit codes:
 0 success, 2 usage or parse error, 3 domain or resource-limit error,
-4 internal invariant violation.
+4 internal invariant violation, or any other failure (memory or
+recursion exhausted), reported on one line of stderr.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import json
 import sys
 
 from .condexp import efree_rec, efree_resolvent, rqce, rqce_resolvent
-from .cumulants import free_from_moments
+from .cumulants import cfree_from_two_moments, free_from_moments
 from .denoise import distributions_of_poly, l2_project, weighted_state
 from .engine import poly_distribution
-from .errors import CFreeError, ParseError
+from .errors import CFreeError, InternalError, ParseError
 from .linearize import linearize
 from .multiplicative import sigma_symbols
 from .ncpoly import parse_poly
@@ -63,6 +64,8 @@ def _load_spec(path):
         raise ParseError("spec file is not UTF-8: %s" % exc) from None
     except json.JSONDecodeError as exc:
         raise ParseError("spec file is not valid JSON: %s" % exc) from None
+    except ValueError:  # an integer with more digits than int() converts
+        raise ParseError("spec file holds a number too long to read") from None
     except RecursionError:
         raise ParseError("spec file nests too deeply") from None
     return spec_from_json(data)
@@ -98,7 +101,9 @@ def _cmd_cumulants(args):
     elif args.kind == "free":
         seq = free_from_moments(spec.marginal(args.letter, "psi"))
     else:
-        seq = spec.cfree_cumulants(args.letter)
+        seq = cfree_from_two_moments(
+            spec.marginal(args.letter, "phi"), spec.marginal(args.letter, "psi")
+        )
     values = _strings(seq.values)
     label = "%s cumulants of %s" % (seq.kind, args.letter)
     if args.format == "json":
@@ -370,6 +375,9 @@ def main(argv=None):
     except CFreeError as exc:
         print("cfree: %s" % exc, file=sys.stderr)
         return exc.exit_code
+    except Exception as exc:  # any other failure: one line, no traceback
+        print("cfree: internal error: %r" % (exc,), file=sys.stderr)
+        return InternalError.exit_code
     print(text)
     return code
 

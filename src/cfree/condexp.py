@@ -41,7 +41,7 @@ import itertools
 
 from .engine import _z_times, solve_fixed_point
 from .errors import DomainError, LimitError
-from .ncpoly import NCPolynomial, block_factorize
+from .ncpoly import MAX_WORD, NCPolynomial, block_factorize
 from .series import SquareMatrix, TruncSeries
 from .twostate import multilinear_boolean, partial_block_boolean
 
@@ -55,8 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_GUARD = 10
-# The peeling recursions nest one call per letter: a fixed stack budget.
-_MAX_WORD = 500
 
 
 class CondExpResult:
@@ -95,9 +93,9 @@ def _checked_word(w, guard):
             "word of length %d exceeds the guard %d; pass guard= to raise it"
             % (len(w), guard)
         )
-    if len(w) > _MAX_WORD:
+    if len(w) > MAX_WORD:
         raise LimitError(
-            "word of length %d exceeds the ceiling %d" % (len(w), _MAX_WORD)
+            "word of length %d exceeds the ceiling %d" % (len(w), MAX_WORD)
         )
     return w
 

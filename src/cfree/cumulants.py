@@ -1,20 +1,23 @@
 """Moment and cumulant sequences of a single variable, and conversions.
 
 Boolean cumulants come from the deconcatenation recursion, which is the
-series identity eta = 1 - 1/M.  Free and c-free cumulants come from one
-change of variable.  With M = M_psi, R(w) = sum r_n w^n and
-Rc(w) = sum rc_n w^{n-1}, the series g(z) = z M(z) has the compositional
-inverse h(w) = w / (1 + R(w)), and
+series identity eta = 1 - 1/M.  Free and c-free cumulants are two
+triangular solves on one table of the powers of g(z) = z M_psi(z).  With
+R(w) = sum r_n w^n and Rc(w) = sum rc_n w^{n-1},
 
-    R = (M - 1) o h,   read off by Lagrange-Buermann as
-                       r_n = (1/n) [z^{n-1}] M'(z) M(z)^{-n},
-    Rc = (eta_phi o h) / h,   with eta_phi = 1 - 1/M_phi.
+    M_psi = 1 + R(g),      so  r_n = m_n - sum_{s<n} r_s [z^n] g^s,
+    eta_phi = z Rc(g),     so  rc_n = beta^phi_n - sum_{k<n} rc_k [z^{n-1}] g^{k-1}
 
-The inverse maps revert h: M = g / z and M_phi = 1 / (1 - z Rc(g)).
-Every map is exact over Q(i) and costs at most O(N^3) at order N.  The
-partition sums below (partition_weight, partitioned_functional) are the
-definitions; the tests sum them over noncrossing partitions as the slow,
-independent cross-check of these identities.
+(Nica-Speicher, Lectures on the Combinatorics of Free Probability, Lect.
+16), where [z^n] g^n = 1 and eta_phi = 1 - 1/M_phi is the phi-Boolean
+transform.  A CumulantTable grows the table one index at a time, and each
+sequence only to the order read; the whole table to order N costs
+O(N^3).  The inverse maps revert g through h(w) = w / (1 + R(w)), its
+compositional inverse: M = g / z and M_phi = 1 / (1 - z Rc(g)).  Every
+map is exact over Q(i).  The partition sums below (partition_weight,
+partitioned_functional) are the definitions; the tests sum them over
+noncrossing partitions as the slow, independent cross-check of these
+identities.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .partitions import enumerate_interval, outer_inner
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational
-from .series import TruncSeries
+from .series import Powers, TruncSeries
 
 MOMENT_STATES = ("psi", "phi")
 CUMULANT_KINDS = ("boolean-psi", "boolean-phi", "free-psi", "cfree")
@@ -128,15 +131,19 @@ def _boolean_kind(state):
     return "boolean-psi" if state == "psi" else "boolean-phi"
 
 
+def _extend_boolean(beta, moments, order):
+    """Grow beta in place to the order: m_n = sum_j beta_j m_{n-j}."""
+    for n in range(len(beta) + 1, order + 1):
+        value = moments[n - 1]
+        for j in range(1, n):
+            value = value - beta[j - 1] * moments[n - j - 1]
+        beta.append(value)
+    return beta
+
+
 def boolean_from_moments(m):
     """Deconcatenation recursion: m_n = sum_j beta_j m_{n-j}."""
-    beta = []
-    for n in range(1, m.order + 1):
-        value = m.moment(n)
-        for j in range(1, n):
-            value = value - beta[j - 1] * m.moment(n - j)
-        beta.append(value)
-    return CumulantSeq(beta, _boolean_kind(m.state))
+    return CumulantSeq(_extend_boolean([], m.values, m.order), _boolean_kind(m.state))
 
 
 def moments_from_boolean(beta, state=None):
@@ -166,19 +173,60 @@ def moments_from_free(r, state="psi"):
     return MomentSeq(_psi_reversion(r).coeffs[2:], state)
 
 
+class CumulantTable:
+    """Boolean, free and c-free cumulants of one variable, grown on demand.
+
+    psi and phi are the moment values m_1..m_N under each state.  Each
+    read grows its sequence, and the table of the powers of g = z M_psi
+    that the free and c-free solves share, only to the order it asks for;
+    the lists it returns are the table's own, grown in place later.
+    """
+
+    __slots__ = ("moments", "g", "boolean", "free", "cfree", "powers")
+
+    def __init__(self, psi, phi):
+        self.moments = {"psi": psi, "phi": phi}
+        self.g = (GQ_ZERO, GQ_ONE) + psi  # g = z M_psi
+        self.boolean = {"psi": [], "phi": []}
+        self.free = []
+        self.cfree = []
+        self.powers = Powers(GQ_ONE)
+
+    def _grow_powers(self, t):
+        """The powers of g to the coefficient of z^t."""
+        for j in range(len(self.powers), t + 1):
+            self.powers.extend(self.g[j])
+
+    def booleans(self, state, order):
+        return _extend_boolean(self.boolean[state], self.moments[state], order)
+
+    def frees(self, order):
+        """r_n = m_n - sum_{s<n} r_s [z^n] g^s."""
+        r = self.free
+        if len(r) < order:
+            self._grow_powers(order)
+            psi = self.moments["psi"]
+            coeffs = [GQ_ZERO] + r  # coeffs[s] multiplies g^s
+            for n in range(len(r) + 1, order + 1):
+                value = psi[n - 1] - self.powers.combine(coeffs, n)
+                r.append(value)
+                coeffs.append(value)
+        return r
+
+    def cfrees(self, order):
+        """rc_n = beta^phi_n - sum_{k<n} rc_k [z^{n-1}] g^{k-1}."""
+        rc = self.cfree
+        if len(rc) < order:
+            beta = self.booleans("phi", order)
+            self._grow_powers(order - 1)
+            for n in range(len(rc) + 1, order + 1):
+                rc.append(beta[n - 1] - self.powers.combine(rc, n - 1))
+        return rc
+
+
 def free_from_moments(m):
-    """Lagrange-Buermann: r_n = (1/n) [z^{n-1}] M'(z) M(z)^{-n}."""
-    slope = [k * v for k, v in enumerate(m.values, start=1)]
-    inverse = m.series().inverse()
-    power = inverse
-    r = []
-    for n in range(1, m.order + 1):
-        value = GQ_ZERO
-        for j in range(n):
-            value = value + slope[j] * power.coeffs[n - 1 - j]
-        r.append(value / n)
-        power = power * inverse
-    return CumulantSeq(r, "free-psi")
+    """Free cumulants by the triangular solve r_n = m_n - sum r_s [z^n] g^s."""
+    return CumulantSeq(CumulantTable(m.values, None).frees(m.order), "free-psi")
 
 
 def phi_moments_from_cfree(cfree, r_psi):
@@ -196,18 +244,16 @@ def phi_moments_from_cfree(cfree, r_psi):
     return MomentSeq(m_phi.coeffs[1:], "phi")
 
 
-def cfree_from_two_moments(m_phi, r_psi):
-    """Rc(w) = eta_phi(h(w)) / h(w) with h(w) = w / (1 + R(w)).
+def cfree_from_two_moments(m_phi, m_psi):
+    """C-free cumulants of the phi moments over the psi moments.
 
-    eta_phi = 1 - 1/M_phi is the phi-Boolean transform, and h / w is
-    1 / (1 + R), so rc_k = [w^k] eta_phi(h) (1 + R).
+    The triangular solve rc_n = beta^phi_n - sum rc_k [z^{n-1}] g^{k-1},
+    g = z M_psi: everything nested inside an outer block enters through g.
     """
-    if m_phi.order != r_psi.order:
+    if m_phi.order != m_psi.order:
         raise DomainError("orders differ")
-    one_plus_r = TruncSeries((GQ_ONE,) + r_psi.values)
-    h = one_plus_r.inverse().shift(1)
-    eta = TruncSeries.constant(GQ_ONE, m_phi.order) - m_phi.series().inverse()
-    return CumulantSeq((eta.compose(h) * one_plus_r).coeffs[1:], "cfree")
+    table = CumulantTable(m_psi.values, m_phi.values)
+    return CumulantSeq(table.cfrees(m_phi.order), "cfree")
 
 
 def partition_weight(p, seq):

@@ -35,7 +35,7 @@ from .errors import DomainError, InternalError
 from .linearize import linearize, word_resolvent
 from .ncpoly import parse_poly
 from .scalars import GQ_ONE, GaussianRational
-from .series import SquareMatrix, TruncSeries
+from .series import Powers, SquareMatrix, TruncSeries, cauchy
 from .cumulants import MomentSeq
 
 __all__ = [
@@ -186,67 +186,14 @@ def _settle(step, sweep, width, order):
     return grown
 
 
-def _cauchy(p, q, k, zero):
-    """[z^k] of the product of coefficient lists p and q (p on the left)."""
-    acc = None
-    for j in range(k + 1):
-        a = p[j]
-        b = q[k - j]
-        if a.is_zero() or b.is_zero():
-            continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    return zero if acc is None else acc
-
-
-class _Powers:
-    """The powers W^0, W^1, ... of a series W that grows one coefficient
-    at a time (W has zero constant term, so [z^t] W^m = 0 for m > t).
-
-    extend(c) appends W's next coefficient c and every power's coefficient
-    at that index, from the stored lower ones: nothing is rebuilt.
-    shifted(eta, t) reads [z^t] sum_{k>=1} b_k W^{k-1}, the coefficient
-    that eta.compose_shifted(W) has there, as a scalar combination.
-    """
-
-    __slots__ = ("one", "zero", "powers")
-
-    def __init__(self, one):
-        self.one = one
-        self.zero = one.zero_like()
-        self.powers = [[], []]  # powers[m][j] = [z^j] W^m
-
-    def extend(self, c):
-        powers = self.powers
-        t = len(powers[0])
-        powers[0].append(self.one if t == 0 else self.zero)
-        w = powers[1]
-        w.append(c)
-        if t >= 2:
-            powers.append([self.zero] * t)
-        for m in range(2, len(powers)):
-            powers[m].append(_cauchy(powers[m - 1], w, t, self.zero))
-
-    def shifted(self, eta, t):
-        acc = None
-        for k in range(1, min(t + 1, eta.order) + 1):
-            b = eta.coeffs[k]
-            power = self.powers[k - 1][t]
-            if b.is_zero() or power.is_zero():
-                continue
-            term = b * power
-            acc = term if acc is None else acc + term
-        return self.zero if acc is None else acc
-
-
 def _sweep(spec, a_s, b_s, ident, blocks, t):
     """The four psi blocks at order t, recomputed from scratch."""
     h_x, h_y, f_x, f_y = blocks
     return (
         (ident - _z_times(a_s * f_x, t)).inverse(),
         (ident - _z_times(b_s * f_y, t)).inverse(),
-        spec.eta("x", "psi").compose_shifted(_z_times(h_y * a_s, t)),
-        spec.eta("y", "psi").compose_shifted(_z_times(h_x * b_s, t)),
+        spec.eta("x", "psi", t + 1).compose_shifted(_z_times(h_y * a_s, t)),
+        spec.eta("y", "psi", t + 1).compose_shifted(_z_times(h_x * b_s, t)),
     )
 
 
@@ -274,8 +221,10 @@ def solve_fixed_point(spec, a, b, order):
     one = SquareMatrix.identity(n)
     zero = SquareMatrix.zeros(n)
     a_c, b_c = a_s.coeffs, b_s.coeffs
-    eta_x, eta_y = spec.eta("x", "psi"), spec.eta("y", "psi")
-    w_x, w_y = _Powers(one), _Powers(one)  # W_X = z H_Y A, W_Y = z H_X B
+    # [z^t] sum_k b_k W^{k-1} reads b_k for k <= t + 1, and the blocks
+    # stop at t = sub: the Boolean cumulants to order sub + 1 suffice
+    eta_x, eta_y = (spec.eta(ch, "psi", sub + 1).coeffs[1:] for ch in "xy")
+    w_x, w_y = Powers(one), Powers(one)  # W_X = z H_Y A, W_Y = z H_X B
     af, bf = [], []  # A F_X and B F_Y
 
     def step(blocks, t):
@@ -283,16 +232,16 @@ def solve_fixed_point(spec, a, b, order):
         if t == 0:
             w_x.extend(zero)
             w_y.extend(zero)
-            return one, one, w_x.shifted(eta_x, 0), w_y.shifted(eta_y, 0)
-        af.append(_cauchy(a_c, f_x, t - 1, zero))
-        bf.append(_cauchy(b_c, f_y, t - 1, zero))
-        w_x.extend(_cauchy(h_y, a_c, t - 1, zero))
-        w_y.extend(_cauchy(h_x, b_c, t - 1, zero))
+            return one, one, w_x.combine(eta_x, 0), w_y.combine(eta_y, 0)
+        af.append(cauchy(a_c, f_x, t - 1, zero))
+        bf.append(cauchy(b_c, f_y, t - 1, zero))
+        w_x.extend(cauchy(h_y, a_c, t - 1, zero))
+        w_y.extend(cauchy(h_x, b_c, t - 1, zero))
         return (
-            _cauchy(af, h_x, t - 1, zero),  # H = I + z A F H
-            _cauchy(bf, h_y, t - 1, zero),
-            w_x.shifted(eta_x, t),
-            w_y.shifted(eta_y, t),
+            cauchy(af, h_x, t - 1, zero),  # H = I + z A F H
+            cauchy(bf, h_y, t - 1, zero),
+            w_x.combine(eta_x, t),
+            w_y.combine(eta_y, t),
         )
 
     ident = TruncSeries.constant(one, sub)
@@ -302,9 +251,9 @@ def solve_fixed_point(spec, a, b, order):
         4,
         sub,
     )
-    phi_x, phi_y = spec.eta("x", "phi"), spec.eta("y", "phi")
-    f_x_phi = TruncSeries(w_x.shifted(phi_x, t) for t in range(sub + 1))
-    f_y_phi = TruncSeries(w_y.shifted(phi_y, t) for t in range(sub + 1))
+    phi_x, phi_y = (spec.eta(ch, "phi", sub + 1).coeffs[1:] for ch in "xy")
+    f_x_phi = TruncSeries(w_x.combine(phi_x, t) for t in range(sub + 1))
+    f_y_phi = TruncSeries(w_y.combine(phi_y, t) for t in range(sub + 1))
 
     def transform(fx, fy):
         term = _z_times((a_s * fx) + (b_s * fy), order)

@@ -24,10 +24,10 @@ property, checked in the tests, is multiplicativity over the product.
 from __future__ import annotations
 
 from .cumulants import MomentSeq, boolean_from_moments, eta_series
-from .engine import _Powers, _settle, _z_times
+from .engine import _settle, _z_times
 from .errors import DomainError
 from .scalars import GQ_ONE, GQ_ZERO
-from .series import TruncSeries
+from .series import Powers, TruncSeries
 
 __all__ = [
     "SubordinationPair",
@@ -81,16 +81,17 @@ def subordination_pair(spec, order):
         raise DomainError(
             "subordination order %d exceeds spec order %d" % (order, spec.order)
         )
-    eta_x = spec.eta("x", "psi")
-    eta_y = spec.eta("y", "psi")
-    p_x, p_y = _Powers(GQ_ONE), _Powers(GQ_ONE)
+    # omega's z^t coefficient reads b_k for k <= t: eta to the order
+    eta_x, eta_y = (spec.eta(ch, "psi", max(order, 1)) for ch in "xy")
+    b_x, b_y = eta_x.coeffs[1:], eta_y.coeffs[1:]
+    p_x, p_y = Powers(GQ_ONE), Powers(GQ_ONE)
 
     def step(pair, t):
         if t == 0:
             return GQ_ZERO, GQ_ZERO
         p_x.extend(pair[0][t - 1])
         p_y.extend(pair[1][t - 1])
-        return p_y.shifted(eta_y, t - 1), p_x.shifted(eta_x, t - 1)
+        return p_y.combine(b_y, t - 1), p_x.combine(b_x, t - 1)
 
     omega_x, omega_y = _settle(
         step,
@@ -110,8 +111,8 @@ def mgf_product_phi(spec, order):
     pair = subordination_pair(spec, order)
     if order == 0:
         return TruncSeries.constant(GQ_ONE, 0)
-    tx = spec.eta("x", "phi").compose_shifted(pair.omega_x).truncated(order - 1)
-    ty = spec.eta("y", "phi").compose_shifted(pair.omega_y).truncated(order - 1)
+    tx = spec.eta("x", "phi", order).compose_shifted(pair.omega_x).truncated(order - 1)
+    ty = spec.eta("y", "phi", order).compose_shifted(pair.omega_y).truncated(order - 1)
     symbol = TruncSeries((GQ_ZERO,) + (tx * ty).coeffs)
     return (TruncSeries.constant(GQ_ONE, order) - symbol).inverse()
 

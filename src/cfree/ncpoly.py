@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, LimitError, ParseError
 from .scalars import (
     GQ_I,
     GQ_ONE,
@@ -21,6 +21,10 @@ from .scalars import (
 )
 
 ALPHABET = ("x", "y")
+# The longest word the package builds: the peeling recursions of condexp
+# nest one call per letter, and a power is refused before it would build
+# a longer word.
+MAX_WORD = 500
 
 
 def check_word(word):
@@ -188,14 +192,22 @@ class NCPolynomial:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError("polynomial powers need a nonnegative int")
+        # p^k holds words of deg(p) * k letters; a constant's exact size
+        # grows with k as a word's length would.  Refuse before building.
+        if self.terms and max(self.degree(), 1) * exponent > MAX_WORD:
+            raise LimitError(
+                "power %d of a degree-%d polynomial exceeds the ceiling of "
+                "%d letters per word" % (exponent, self.degree(), MAX_WORD)
+            )
         result = _ONE
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # a square past the last bit would be thrown away
+                base = base * base
         return result
 
     def inverse(self):
@@ -380,7 +392,11 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer exponent")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            self.pos = start
+            self.error("exponent has too many digits")
 
     def atom(self):
         ch = self.peek()

@@ -15,13 +15,18 @@ from .errors import DomainError, ParseError
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
 
+# Every zero part is this one object: most values are real, and a stored
+# value then keeps one Fraction, not two.
+_FRACTION_ZERO = Fraction(0)
+
+
 def _frac(value):
     if type(value) is Fraction:
-        return value
+        return value or _FRACTION_ZERO
     if isinstance(value, int):
-        return Fraction(value)
+        return Fraction(value) if value else _FRACTION_ZERO
     if isinstance(value, Fraction):
-        return value
+        return value or _FRACTION_ZERO
     raise TypeError("rational part must be int or Fraction, got %r" % (value,))
 
 
@@ -118,8 +123,9 @@ class GaussianRational:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # a square past the last bit would be thrown away
+                base = base * base
         return result
 
     # -- hashing / comparison -------------------------------------------
@@ -187,6 +193,9 @@ def parse_rational(text):
         return Fraction(s)
     except ZeroDivisionError:
         raise ParseError("zero denominator in %r" % text) from None
+    except ValueError:  # more digits than int() converts
+        message = "rational literal of %d characters is too long" % len(s)
+        raise ParseError(message) from None
 
 
 def _parse_gaussian_term(term, original):

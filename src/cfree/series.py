@@ -240,6 +240,63 @@ class TruncSeries:
         return "TruncSeries(%r)" % (self.coeffs,)
 
 
+def cauchy(p, q, k, zero):
+    """[z^k] of the product of coefficient lists p and q (p on the left)."""
+    acc = None
+    for j in range(k + 1):
+        a = p[j]
+        b = q[k - j]
+        if a.is_zero() or b.is_zero():
+            continue
+        term = a * b
+        acc = term if acc is None else acc + term
+    return zero if acc is None else acc
+
+
+class Powers:
+    """The powers W^0, W^1, ... of a series W that grows one coefficient
+    at a time (W has zero constant term, so [z^t] W^m = 0 for m > t).
+
+    extend(c) appends W's next coefficient c and every power's coefficient
+    at that index, from the stored lower ones: nothing is rebuilt, and the
+    table to index N costs O(N^3) ring products in all.  combine(b, t)
+    reads [z^t] sum_m b[m] W^m as a scalar combination.
+    """
+
+    __slots__ = ("one", "zero", "powers")
+
+    def __init__(self, one):
+        self.one = one
+        self.zero = one.zero_like()
+        self.powers = [[], []]  # powers[m][j] = [z^j] W^m
+
+    def __len__(self):
+        """How many coefficients of W the table holds."""
+        return len(self.powers[1])
+
+    def extend(self, c):
+        powers = self.powers
+        t = len(powers[0])
+        powers[0].append(self.one if t == 0 else self.zero)
+        w = powers[1]
+        w.append(c)
+        if t >= 2:
+            powers.append([self.zero] * t)
+        for m in range(2, len(powers)):
+            powers[m].append(cauchy(powers[m - 1], w, t, self.zero))
+
+    def combine(self, b, t):
+        acc = None
+        powers = self.powers
+        for m in range(min(t, len(b) - 1) + 1):
+            power = powers[m][t]
+            if b[m].is_zero() or power.is_zero():
+                continue
+            term = b[m] * power
+            acc = term if acc is None else acc + term
+        return self.zero if acc is None else acc
+
+
 class SquareMatrix:
     """A dense square matrix over any of the package's exact rings."""
 

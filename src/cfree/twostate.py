@@ -1,10 +1,13 @@
 """Ground truth for joint (psi, phi)-moments of two c-free variables.
 
 A TwoStateSpec holds marginal moment sequences for the letters x and y
-under both states.  It derives their Boolean cumulants at once, and their
-free and c-free cumulants, which only the word oracle reads, on first
-read.  Joint word moments are colored noncrossing partition sums,
-evaluated here by a first-block recursion instead of literal enumeration:
+under both states, and one CumulantTable per letter that derives their
+Boolean, free and c-free cumulants on first read, each only to the order
+read: a word moment grows the free and c-free cumulants to the word's
+letter counts, the engine the Boolean ones to its own order, and the
+public accessors every sequence to the spec order.  Joint word moments
+are colored noncrossing partition sums, evaluated here by a first-block
+recursion instead of literal enumeration:
 
     psi(w) = sum over chains 0 = b_1 < ... < b_k of positions carrying
              w[0], of r_k * prod psi(gap between consecutive b_i)
@@ -22,13 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cumulants import (
-    MomentSeq,
-    boolean_from_moments,
-    cfree_from_two_moments,
-    eta_series,
-    free_from_moments,
-)
+from .cumulants import CumulantSeq, CumulantTable, MomentSeq
 from .errors import DomainError, LimitError, ParseError
 from .ncpoly import ALPHABET, block_factorize, check_word
 from .partitions import (
@@ -40,6 +37,7 @@ from .partitions import (
     outer_inner,
 )
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational, parse_gaussian
+from .series import TruncSeries
 
 STATES = ("psi", "phi")
 
@@ -51,9 +49,9 @@ class TwoStateSpec:
         "order",
         "_psi",
         "_phi",
-        "_beta",
-        "_r_psi",
-        "_r_cfree",
+        "_tables",
+        "_free",
+        "_cfree",
         "_psi_memo",
         "_phi_memo",
         "_chain_memo",
@@ -72,16 +70,17 @@ class TwoStateSpec:
                 raise DomainError("marginal orders must equal the spec order")
             if psi[letter].state != "psi" or phi[letter].state != "phi":
                 raise DomainError("marginal state tags are inconsistent")
-        beta = {}
-        for letter in ALPHABET:
-            beta[letter, "psi"] = boolean_from_moments(psi[letter])
-            beta[letter, "phi"] = boolean_from_moments(phi[letter])
+        tables = {
+            letter: CumulantTable(psi[letter].values, phi[letter].values)
+            for letter in ALPHABET
+        }
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_psi", psi)
         object.__setattr__(self, "_phi", phi)
-        object.__setattr__(self, "_beta", beta)
-        object.__setattr__(self, "_r_psi", {})
-        object.__setattr__(self, "_r_cfree", {})
+        object.__setattr__(self, "_tables", tables)
+        # the tables' own lists, which grow in place as words need them
+        object.__setattr__(self, "_free", {ch: t.free for ch, t in tables.items()})
+        object.__setattr__(self, "_cfree", {ch: t.cfree for ch, t in tables.items()})
         object.__setattr__(self, "_psi_memo", {"": GQ_ONE})
         object.__setattr__(self, "_phi_memo", {"": GQ_ONE})
         object.__setattr__(self, "_chain_memo", {})
@@ -97,32 +96,27 @@ class TwoStateSpec:
 
     def boolean_cumulants(self, letter, state="psi"):
         check_word(letter)
-        return self._beta[letter, state]
+        values = self._tables[letter].booleans(state, self.order)
+        return CumulantSeq(values, "boolean-psi" if state == "psi" else "boolean-phi")
 
     def free_cumulants(self, letter):
-        """Free psi-cumulants of a letter, computed on first read.
-
-        Only the word oracle and these accessors read the free and c-free
-        cumulants; the engine reads the Boolean ones alone.
-        """
+        """Free psi-cumulants of a letter to the spec order."""
         check_word(letter)
-        r = self._r_psi.get(letter)
-        if r is None:
-            r = self._r_psi[letter] = free_from_moments(self._psi[letter])
-        return r
+        return CumulantSeq(self._tables[letter].frees(self.order), "free-psi")
 
     def cfree_cumulants(self, letter):
-        """C-free cumulants of a letter, computed on first read."""
+        """C-free cumulants of a letter to the spec order."""
         check_word(letter)
-        r = self._r_cfree.get(letter)
-        if r is None:
-            r = self._r_cfree[letter] = cfree_from_two_moments(
-                self._phi[letter], self.free_cumulants(letter)
-            )
-        return r
+        return CumulantSeq(self._tables[letter].cfrees(self.order), "cfree")
 
     def eta(self, letter, state="psi", order=None):
-        return eta_series(self.boolean_cumulants(letter, state), order)
+        """eta(z) = sum beta_k z^k to the order (default: the spec order)."""
+        check_word(letter)
+        order = self.order if order is None else order
+        if order > self.order:
+            raise DomainError("eta requested beyond available cumulants")
+        beta = self._tables[letter].booleans(state, order)
+        return TruncSeries((GQ_ZERO,) + tuple(beta[:order]))
 
     # -- joint moments --------------------------------------------------------
 
@@ -148,9 +142,7 @@ class TwoStateSpec:
                     if prev.is_zero():
                         continue
                     gap = self._word_moment(
-                        word[positions[s] + 1 : j],
-                        self.free_cumulants,
-                        self._psi_memo,
+                        word[positions[s] + 1 : j], self._free, self._psi_memo
                     )
                     acc = acc + prev * gap
                 row.append(acc)
@@ -162,22 +154,22 @@ class TwoStateSpec:
     def _word_moment(self, word, cumulants, memo):
         """Chain sum of the word with the outer block weighted by cumulants.
 
-        (self.free_cumulants, self._psi_memo) gives psi(word) and
-        (self.cfree_cumulants, self._phi_memo) gives phi(word); gaps always
-        recurse under psi.
+        (self._free, self._psi_memo) gives psi(word) and (self._cfree,
+        self._phi_memo) gives phi(word); gaps always recurse under psi.
+        The cumulant lists must hold the word's letter counts.
         """
         value = memo.get(word)
         if value is not None:
             return value
-        r = cumulants(word[0])
+        r = cumulants[word[0]]
         total = GQ_ZERO
         for tail_start, chain in self._chains(word):
             tail = self._word_moment(word[tail_start:], cumulants, memo)
             if tail.is_zero():
                 continue
-            for k, weight in enumerate(chain, start=1):
+            for k, weight in enumerate(chain):
                 if not weight.is_zero():
-                    total = total + weight * r.value(k) * tail
+                    total = total + weight * r[k] * tail
         memo[word] = total
         return total
 
@@ -196,8 +188,18 @@ class TwoStateSpec:
                 "word length %d exceeds guard %d" % (len(word), limit)
             )
         if state == "psi":
-            return self._word_moment(word, self.free_cumulants, self._psi_memo)
-        return self._word_moment(word, self.cfree_cumulants, self._phi_memo)
+            cumulants, memo = self._free, self._psi_memo
+        else:
+            cumulants, memo = self._cfree, self._phi_memo
+        value = memo.get(word)
+        if value is None:
+            for letter, table in self._tables.items():
+                count = word.count(letter)
+                table.frees(count)
+                if state == "phi":
+                    table.cfrees(count)
+            value = self._word_moment(word, cumulants, memo)
+        return value
 
     def poly_moment(self, state, poly, guard=None):
         """Linear extension of the word moment to polynomials."""

@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from cfree.condexp import (
     efree_full,
     efree_rec,
@@ -314,7 +312,7 @@ def test_criterion_8_combinatorial_backbone():
         assert moments_from_boolean(boolean_from_moments(m_phi)) == m_phi
         assert moments_from_free(free_from_moments(m_psi)) == m_psi
         r_psi = free_from_moments(m_psi)
-        cfree = cfree_from_two_moments(m_phi, r_psi)
+        cfree = cfree_from_two_moments(m_phi, m_psi)
         assert phi_moments_from_cfree(cfree, r_psi) == m_phi
     # Boolean cumulants refine free cumulants along the irreducible order
     spec = random_spec(random.Random(29), 6)

@@ -576,6 +576,58 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     )
 
 
+def test_unexpected_failures_exit_4_on_one_line(spec_files, capsys, monkeypatch):
+    import cfree.cli
+
+    for exc in (MemoryError(), RecursionError("maximum recursion depth\nexceeded")):
+        def boom(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cfree.cli, "_cmd_moments", boom)
+        code, out, err = run(
+            capsys, "moments", "--poly=x", "--spec", spec_files["unit"], "--order=2"
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("cfree: internal error: %s(" % type(exc).__name__)
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_huge_inputs_end_in_documented_exits(spec_files, capsys, tmp_path):
+    def moments(poly):
+        path = spec_files["unit"]
+        return run(capsys, "moments", "--poly=" + poly, "--spec", path, "--order=1")
+
+    for poly, code, message in (
+        ("x^99999999999", 3, "power 99999999999 of a degree-1 polynomial exceeds"),
+        ("(x*y)^251", 3, "power 251 of a degree-2 polynomial exceeds"),
+        ("2^99999999999*x", 3, "power 99999999999 of a degree-0 polynomial exceeds"),
+        ("x^" + "9" * 5000, 2, "exponent has too many digits"),
+        ("1" * 5000 + "*x", 2, "bad rational literal"),
+    ):
+        got, out, err = moments(poly)
+        assert (got, out) == (code, "")
+        assert err.startswith("cfree: " + message)
+        assert err.count("\n") == 1
+    path = tmp_path / "long.json"
+    dist = '{"kind": "moments", "moments": [%s]}' % ("7" * 5000)
+    path.write_text('{"order": 1, "x": {"psi": %s}}' % dist)
+    got, out, err = run(capsys, "moments", "--poly=x", "--spec", str(path), "--order=1")
+    assert (got, out) == (2, "")
+    assert err == "cfree: spec file holds a number too long to read\n"
+
+
+def test_long_order_spec_is_read_only_as_far_as_the_query(tmp_path, capsys):
+    # order 400: the engine reads the Boolean cumulants to its own order 2
+    data = dict(SPEC20, order=400)
+    path = tmp_path / "order400.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, "moments", "--poly", "x+y", "--spec", str(path), "--order", "2"
+    )
+    assert (code, out, err) == (0, '{"moments":["0","2"]}\n', "")
+
+
 def test_verify_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "bogus")
     assert code == 2

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from cfree import engine
-from cfree.cumulants import MomentSeq
 from cfree.denoise import (
     ProjectionResult,
     WeightedState,

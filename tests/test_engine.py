@@ -13,7 +13,6 @@ import pytest
 from cfree import engine, multiplicative
 from cfree.cumulants import boolean_from_moments, eta_series
 from cfree.engine import (
-    EngineState,
     _as_matrix_series,
     _settle,
     _sweep,
@@ -24,9 +23,9 @@ from cfree.engine import (
 )
 from cfree.errors import DomainError, InternalError
 from cfree.linearize import linearize
-from cfree.multiplicative import _advance, subordination_pair
+from cfree.multiplicative import _advance, mgf_product_phi, subordination_pair
 from cfree.ncpoly import NCPolynomial, parse_poly
-from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, gq
+from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, gq
 from cfree.selfcheck import oracle_moments
 from cfree.series import SquareMatrix, TruncSeries
 from cfree.twostate import (
@@ -426,3 +425,42 @@ def test_subordination_identity_1x1():
     rhs = hy * m_x.compose(hy.shift(1))
     lhs = st.corner((1,), (1,), "psi")
     assert lhs.agrees_with(rhs, hy.order)
+
+
+def test_solves_read_the_boolean_cumulants_only_to_their_own_order():
+    # a spec of order 400 whose queries need order 2 or 3: the Boolean
+    # cumulants grow that far and no further, and the answers equal those
+    # of a spec that holds just enough marginal data
+    def spec_of(order):
+        return TwoStateSpec(
+            order,
+            semicircle_moments(1, order),
+            atom_moments([(-1, gq(Fraction(1, 2))), (1, gq(Fraction(1, 2)))], order),
+            atom_moments(
+                [(2, gq(Fraction(1, 3))), (0, gq(Fraction(2, 3)))], order, "phi"
+            ),
+            semicircle_moments(2, order, "phi"),
+        )
+
+    def held(spec):
+        return {
+            (ch, state): len(table.boolean[state])
+            for ch, table in spec._tables.items()
+            for state in ("psi", "phi")
+        }
+
+    big, small = spec_of(400), spec_of(6)
+    for state in ("psi", "phi"):
+        dist = poly_distribution(big, "x + y", state, 2)
+        assert dist == poly_distribution(small, "x + y", state, 2)
+    # phi(x) = 2/3, phi(y) = 0, phi(x^2) = 4/3, phi(y^2) = 2
+    assert dist.values == (gq(Fraction(2, 3)), gq(Fraction(10, 3)))
+    assert set(held(big).values()) == {2}
+    st = solve_fixed_point(big, [[1]], [[1]], 0)
+    assert st.m_psi == solve_fixed_point(small, [[1]], [[1]], 0).m_psi
+    assert max(held(big).values()) == 2
+    pair = subordination_pair(big, 3)
+    assert pair == subordination_pair(small, 3)
+    assert mgf_product_phi(big, 3) == mgf_product_phi(small, 3)
+    assert set(held(big).values()) == {3}
+    assert not any(t.free or t.cfree for t in big._tables.values())

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a cfree module imports is used or exported,
-and every name it defines has a caller outside the tests."""
+"""Source hygiene: every name a cfree module or a test module imports is
+used or exported, and every name a cfree module defines has a caller
+outside the tests."""
 
 import ast
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cfree"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -54,7 +56,7 @@ def test_checker_sees_unused_and_exported_names():
     assert unused_imports(source) == [(2, "os"), (3, "c")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     found = unused_imports(path.read_text(encoding="utf-8"))
     assert not found, "%s imports names it never uses: %s" % (

@@ -6,7 +6,6 @@ them exactly.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 

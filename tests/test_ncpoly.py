@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from cfree.errors import DomainError, ParseError
-from cfree.ncpoly import NCPolynomial, block_factorize, format_poly, parse_poly
+from cfree.errors import DomainError, LimitError, ParseError
+from cfree.ncpoly import (
+    MAX_WORD,
+    NCPolynomial,
+    block_factorize,
+    format_poly,
+    parse_poly,
+)
 from cfree.scalars import GQ_I, GQ_ONE, gq
 
 X = NCPolynomial.letter("x")
@@ -54,6 +60,33 @@ def test_pow():
     assert ((X + Y) ** 3).coeff("xyx") == GQ_ONE
     with pytest.raises(DomainError):
         X ** -1
+
+
+def test_pow_refuses_words_past_the_ceiling_before_building_them(monkeypatch):
+    assert (X ** MAX_WORD).degree() == MAX_WORD
+    assert ((X * Y) ** (MAX_WORD // 2)).degree() == MAX_WORD
+    for base, exponent in ((X, MAX_WORD + 1), (X * Y + Y, MAX_WORD // 2 + 1),
+                           (X, 99999999999), (NCPolynomial.scalar(2), 99999999999)):
+        with pytest.raises(LimitError):
+            base ** exponent
+    # zero stays zero at any power
+    assert NCPolynomial.zero() ** 99999999999 == NCPolynomial.zero()
+    with pytest.raises(LimitError):
+        parse_poly("x^99999999999")
+    # no intermediate square passes the power itself: x^500 builds no x^512
+    built = []
+    multiply = NCPolynomial.__mul__
+
+    def recording(self, other):
+        product = multiply(self, other)
+        built.append(product.degree())
+        return product
+
+    monkeypatch.setattr(NCPolynomial, "__mul__", recording)
+    assert (X ** MAX_WORD).degree() == MAX_WORD
+    assert max(built) == MAX_WORD
+    with pytest.raises(ParseError):
+        parse_poly("x^" + "9" * 5000)
 
 
 def test_constant_inverse():

@@ -1,9 +1,15 @@
-"""Property tests: the engine against the word oracle on random input.
+"""Property tests on random input.
 
-Criterion 3 fixes five polynomials; here hypothesis draws the polynomial
-(up to three monomials of length at most three, Gaussian-rational
-coefficients) and the seed of a random spec, and the engine's moments in
-both states, read from one solve, must equal the oracle's word sums.
+The engine against the word oracle: criterion 3 fixes five polynomials;
+here hypothesis draws the polynomial (up to three monomials of length at
+most three, Gaussian-rational coefficients) and the seed of a random
+spec, and the engine's moments in both states, read from one solve, must
+equal the oracle's word sums.
+
+The cumulant tables, which grow each sequence only to the order read:
+their free and c-free cumulants must give back the moments as partition
+sums, reads in any order must give the values of one full-order read,
+and the oracle must not see how far a spec's tables were grown.
 """
 
 import random
@@ -12,8 +18,15 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cfree.cumulants import (
+    CumulantSeq,
+    CumulantTable,
+    partition_weight,
+    partition_weight_outer_inner,
+)
 from cfree.engine import _poly_moments
 from cfree.ncpoly import NCPolynomial
+from cfree.partitions import enumerate_nc
 from cfree.scalars import GaussianRational
 from cfree.selfcheck import oracle_moments
 from cfree.twostate import random_spec
@@ -50,3 +63,99 @@ def test_engine_equals_oracle_on_random_polynomials(terms, count, seed):
     phi, psi = _poly_moments(spec, p, count, ("phi", "psi"))
     assert list(phi.values) == oracle_moments(spec, p, "phi", count)
     assert list(psi.values) == oracle_moments(spec, p, "psi", count)
+
+
+ZERO = GaussianRational(0)
+moment_lists = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.sampled_from(COEFFS), min_size=n, max_size=n),
+        st.lists(st.sampled_from(COEFFS), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(moments=moment_lists)
+def test_table_cumulants_give_back_the_moments_as_partition_sums(moments):
+    psi, phi = (tuple(m) for m in moments)
+    table = CumulantTable(psi, phi)
+    n = len(psi)
+    r = CumulantSeq(table.frees(n), "free-psi")
+    rc = CumulantSeq(table.cfrees(n), "cfree")
+    for k in range(1, n + 1):
+        partitions = enumerate_nc(k)
+        free_sum = sum((partition_weight(p, r) for p in partitions), ZERO)
+        assert free_sum == psi[k - 1]
+        cfree_sum = sum(
+            (partition_weight_outer_inner(p, rc, r) for p in partitions), ZERO
+        )
+        assert cfree_sum == phi[k - 1]
+
+
+READS = ("free", "cfree", "psi", "phi")
+
+
+def _read(table, kind, order):
+    if kind == "free":
+        return table.frees(order)
+    if kind == "cfree":
+        return table.cfrees(order)
+    return table.booleans(kind, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    order=st.integers(min_value=1, max_value=10),
+    reads=st.lists(
+        st.tuples(st.sampled_from(READS), st.integers(min_value=0, max_value=10)),
+        max_size=12,
+    ),
+)
+def test_reads_in_any_order_give_the_values_of_one_full_read(seed, order, reads):
+    spec = random_spec(random.Random(seed), order)
+    for ch in "xy":
+        psi, phi = spec.marginal(ch, "psi").values, spec.marginal(ch, "phi").values
+        once = CumulantTable(psi, phi)
+        full = {kind: list(_read(once, kind, order)) for kind in READS}
+        grown = CumulantTable(psi, phi)
+        for kind, k in reads:
+            k = min(k, order)
+            assert _read(grown, kind, k)[:k] == full[kind][:k]
+        for kind in READS:
+            assert _read(grown, kind, order) == full[kind]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    reads=st.lists(
+        st.tuples(st.sampled_from(("psi", "phi")), st.text(alphabet="xy", max_size=7)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_oracle_on_a_lazily_grown_spec_equals_one_read_to_full_order(seed, reads):
+    lazy = random_spec(random.Random(seed), 7)
+    eager = random_spec(random.Random(seed), 7)
+    for ch in "xy":
+        eager.free_cumulants(ch)
+        eager.cfree_cumulants(ch)
+    for state, word in reads:
+        assert lazy.moment(state, word) == eager.moment(state, word)
+
+
+fractions = st.fractions(max_denominator=10**6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=fractions, b=fractions)
+def test_a_real_gaussian_rational_hashes_like_its_fraction(a, b):
+    x, y = GaussianRational(a), GaussianRational(b)
+    for value, exact in ((x, a), (x + y, a + b), (x - y, a - b), (x * y, a * b)):
+        assert hash(value) == hash(exact)
+        assert value == exact
+        assert {exact: True}[value]
+    if b:
+        assert hash(x / y) == hash(a / b)
+    assert GaussianRational(a, 1) != a
