@@ -25,7 +25,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .partitions import enumerate_interval, outer_inner
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational
-from .series import Powers, TruncSeries
+from .series import Powers, TruncSeries, cauchy
 
 MOMENT_STATES = ("psi", "phi")
 CUMULANT_KINDS = ("boolean-psi", "boolean-phi", "free-psi", "cfree")
@@ -134,10 +134,8 @@ def _boolean_kind(state):
 def _extend_boolean(beta, moments, order):
     """Grow beta in place to the order: m_n = sum_j beta_j m_{n-j}."""
     for n in range(len(beta) + 1, order + 1):
-        value = moments[n - 1]
-        for j in range(1, n):
-            value = value - beta[j - 1] * moments[n - j - 1]
-        beta.append(value)
+        # beta[i] = beta_{i+1}, moments[i] = m_{i+1}: the sum over j < n
+        beta.append(moments[n - 1] - cauchy(beta, moments, n - 2, GQ_ZERO))
     return beta
 
 
@@ -147,16 +145,11 @@ def boolean_from_moments(m):
 
 
 def moments_from_boolean(beta, state=None):
+    """M = 1 / (1 - eta), the inverse of the deconcatenation recursion."""
     if state is None:
         state = "phi" if beta.kind == "boolean-phi" else "psi"
-    moments = []
-    for n in range(1, beta.order + 1):
-        value = beta.value(n)
-        for j in range(1, n):
-            prev = moments[n - j - 1] if n - j >= 1 else GQ_ONE
-            value = value + beta.value(j) * prev
-        moments.append(value)
-    return MomentSeq(moments, state)
+    m = (TruncSeries.constant(GQ_ONE, beta.order) - eta_series(beta)).inverse()
+    return MomentSeq(m.coeffs[1:], state)
 
 
 def _psi_reversion(r):

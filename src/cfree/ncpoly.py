@@ -25,6 +25,9 @@ ALPHABET = ("x", "y")
 # nest one call per letter, and a power is refused before it would build
 # a longer word.
 MAX_WORD = 500
+# The most term pairs one product may multiply out: (x + y)^k has 2^k
+# words, and a product past this bound is refused before it is built.
+MAX_PAIRS = 1 << 20
 
 
 def check_word(word):
@@ -174,6 +177,12 @@ class NCPolynomial:
             return _poly({w: k * c for w, k in self.terms.items()})
         if not isinstance(other, NCPolynomial):
             return NotImplemented
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > MAX_PAIRS:
+            raise LimitError(
+                "a product of %d by %d terms exceeds the ceiling of %d term "
+                "pairs" % (len(self.terms), len(other.terms), MAX_PAIRS)
+            )
         products = (
             (wa + wb, ca * cb)
             for wa, ca in self.terms.items()

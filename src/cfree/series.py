@@ -2,10 +2,26 @@
 
 A TruncSeries is a list of coefficients c_0..c_N in one formal variable z,
 carried to an explicit truncation order N.  Coefficients may live in any
-ring that implements +, -, *, is_zero(), zero_like(), one_like() and (where
-an operation needs it) inverse(): Gaussian rationals, square matrices over
-them, or noncommutative polynomials.  Binary operations between series of
+of the package's rings: Gaussian rationals, square matrices over them, or
+noncommutative polynomials.  Binary operations between series of
 different orders truncate to the smaller order.
+
+Two kernels multiply series: cauchy (one coefficient of a product) and
+Powers (the powers of a series, grown one coefficient at a time).  What
+each operation needs of the coefficient ring:
+
+- cauchy, and TruncSeries.__mul__ (cauchy at each index): +, * and
+  is_zero(), with zero_like() for an empty sum;
+- TruncSeries.inverse (d_n from cauchy of the tail with d_0..d_{n-1}):
+  the same plus unary - and inverse() of the constant term;
+- Powers, and compose and compose_shifted (one table of the inner
+  series' powers, read by combine): +, *, is_zero(), zero_like(),
+  one_like(), and a scalar times an element (SquareMatrix.__rmul__);
+- revert: scalar coefficients only.
+
+A SquareMatrix has one left-scalar path, scale (also __rmul__), and one
+elimination, a Gauss-Jordan pass that gives both inverse() and det();
+its entries need inverse() for the pivots.
 """
 
 from __future__ import annotations
@@ -52,15 +68,8 @@ class TruncSeries:
             raise DomainError("cannot extend a truncated series")
         return TruncSeries(self.coeffs[: order + 1])
 
-    def valuation(self):
-        """Index of the first nonzero coefficient; None for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        return None
-
     def is_zero(self):
-        return self.valuation() is None
+        return all(c.is_zero() for c in self.coeffs)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -90,27 +99,11 @@ class TruncSeries:
         """Cauchy product, truncated to the smaller order."""
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        n = self._common_order(other)
-        left = [(j, c) for j, c in enumerate(self.coeffs[: n + 1]) if not c.is_zero()]
-        live = [not c.is_zero() for c in other.coeffs[: n + 1]]
-        out = []
-        for k in range(n + 1):
-            acc = None
-            for j, a in left:
-                if j > k:
-                    break
-                if not live[k - j]:
-                    continue
-                term = a * other.coeffs[k - j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = self.coeffs[0].zero_like() * other.coeffs[0].zero_like()
-            out.append(acc)
-        return TruncSeries(tuple(out))
-
-    def scale(self, scalar):
-        """Multiply every coefficient by a fixed ring element (on the left)."""
-        return TruncSeries(tuple(scalar * c for c in self.coeffs))
+        p, q = self.coeffs, other.coeffs
+        zero = p[0].zero_like() * q[0].zero_like()
+        return TruncSeries(
+            cauchy(p, q, k, zero) for k in range(self._common_order(other) + 1)
+        )
 
     def shift(self, k=1):
         """Multiply by z^k, dropping whatever overflows the order."""
@@ -147,46 +140,33 @@ class TruncSeries:
         d_n = -c_0^{-1} * sum_{k>=1} c_k d_{n-k}.  For matrix coefficients
         this produces the two-sided inverse because c_0 is.
         """
-        c0 = self.coeffs[0]
+        c0, tail = self.coeffs[0], self.coeffs[1:]
         try:
             c0_inv = c0.inverse()
         except DomainError:
             raise DomainError("series inverse needs invertible constant term")
-        live = [(k, c) for k, c in enumerate(self.coeffs) if k and not c.is_zero()]
+        zero = c0.zero_like()
         out = [c0_inv]
         for n in range(1, self.order + 1):
-            acc = None
-            for k, c in live:
-                if k > n:
-                    break
-                term = c * out[n - k]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                out.append(c0.zero_like())
-            else:
-                out.append(-(c0_inv * acc))
-        return TruncSeries(tuple(out))
+            acc = cauchy(tail, out, n - 1, zero)
+            out.append(zero if acc.is_zero() else -(c0_inv * acc))
+        return TruncSeries(out)
 
     def compose(self, inner):
         """sum_k c_k * inner^k for an inner series with zero constant term.
 
         The outer series must have scalar (GaussianRational) coefficients;
-        the inner may be scalar- or matrix-valued.
+        the inner may be scalar- or matrix-valued.  The result has the
+        inner series' order.
         """
         if not inner.coeffs[0].is_zero():
             raise DomainError("composition needs inner constant term zero")
-        one = inner.coeffs[0].one_like()
-        order = inner.order
-        power = TruncSeries.constant(one, order)
-        acc = power.scale(self.coeffs[0])
-        for k in range(1, self.order + 1):
-            power = power * inner
-            if power.is_zero():
-                break
-            c = self.coeffs[k]
-            if not c.is_zero():
-                acc = acc + power.scale(c)
-        return acc
+        powers = Powers(inner.coeffs[0].one_like())
+        out = []
+        for t, c in enumerate(inner.coeffs):
+            powers.extend(c)
+            out.append(powers.combine(self.coeffs, t))
+        return TruncSeries(out)
 
     def compose_shifted(self, inner):
         """sum_{k>=1} c_k * inner^{k-1} (inner constant term must be zero).
@@ -398,12 +378,17 @@ class SquareMatrix:
         # scalar from the right
         return self.map(lambda e: e * other)
 
-    def __rmul__(self, other):
-        # scalar from the left
-        return self.map(lambda e: other * e)
-
     def scale(self, scalar):
-        return self.map(lambda e: scalar * e)
+        """scalar * self; a zero entry becomes the product ring's zero."""
+        zero = scalar * self.rows[0][0].zero_like()
+        return SquareMatrix(
+            tuple(
+                tuple(zero if e.is_zero() else scalar * e for e in row)
+                for row in self.rows
+            )
+        )
+
+    __rmul__ = scale  # a scalar from the left
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
@@ -413,10 +398,11 @@ class SquareMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def inverse(self):
-        """Exact inverse by Gaussian elimination, first nonzero pivot.
+    def _eliminate(self):
+        """One Gauss-Jordan pass, first nonzero pivot: (det, inverse).
 
-        Entries must support inverse(); raises DomainError when singular.
+        Entries must support inverse(); the inverse is None (and the
+        determinant zero) when the matrix is singular.
         """
         n = self.n
         zero = self.rows[0][0].zero_like()
@@ -425,17 +411,18 @@ class SquareMatrix:
         aug = [
             [one if i == j else zero for j in range(n)] for i in range(n)
         ]
+        det = one
         for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if not work[r][col].is_zero():
-                    pivot_row = r
-                    break
+            pivot_row = next(
+                (r for r in range(col, n) if not work[r][col].is_zero()), None
+            )
             if pivot_row is None:
-                raise DomainError("matrix is singular")
+                return zero, None
             if pivot_row != col:
                 work[col], work[pivot_row] = work[pivot_row], work[col]
                 aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+                det = -det
+            det = det * work[col][col]
             pivot_inv = work[col][col].inverse()
             work[col] = [pivot_inv * e for e in work[col]]
             aug[col] = [pivot_inv * e for e in aug[col]]
@@ -449,7 +436,18 @@ class SquareMatrix:
                     e - factor * p for e, p in zip(work[r], work[col])
                 ]
                 aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
-        return SquareMatrix(tuple(tuple(row) for row in aug))
+        return det, SquareMatrix(aug)
+
+    def det(self):
+        """The determinant: the product of the pivots, signed by the swaps."""
+        return self._eliminate()[0]
+
+    def inverse(self):
+        """Exact inverse; raises DomainError when the matrix is singular."""
+        inverse = self._eliminate()[1]
+        if inverse is None:
+            raise DomainError("matrix is singular")
+        return inverse
 
     def apply_bilinear(self, left, right):
         """left^T * self * right for plain sequences of entries."""

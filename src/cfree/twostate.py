@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .cumulants import CumulantSeq, CumulantTable, MomentSeq
 from .errors import DomainError, LimitError, ParseError
-from .ncpoly import ALPHABET, block_factorize, check_word
+from .ncpoly import ALPHABET, MAX_WORD, block_factorize, check_word
 from .partitions import (
     ENUMERATION_GUARD,
     enumerate_nc,
@@ -37,7 +37,7 @@ from .partitions import (
     outer_inner,
 )
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational, parse_gaussian
-from .series import TruncSeries
+from .series import SquareMatrix, TruncSeries
 
 STATES = ("psi", "phi")
 
@@ -542,6 +542,11 @@ def spec_from_json(data):
     order = data.get("order")
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ParseError("spec needs a positive integer 'order'")
+    if order > MAX_WORD:  # a moment of order k is a k-letter word
+        raise LimitError(
+            "spec order %d exceeds the ceiling of %d letters per word"
+            % (order, MAX_WORD)
+        )
     seqs = {}
     for letter in ALPHABET:
         entry = data.get(letter)
@@ -566,27 +571,6 @@ def spec_from_json(data):
 # ---------------------------------------------------------------------------
 
 
-def _det(rows):
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            factor = Fraction(rows[r][col], 1) / rows[col][col]
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    return det
-
-
 def hankel_warnings(spec):
     """Non-fatal positivity diagnostics for the four marginal sequences."""
     notes = []
@@ -598,13 +582,13 @@ def hankel_warnings(spec):
                     "%s moments of %s are not real" % (state, letter)
                 )
                 continue
-            moments = [Fraction(1)] + [m.re for m in seq.values]
+            moments = (GQ_ONE,) + seq.values
             size = (len(moments) + 1) // 2
             for k in range(1, size + 1):
                 rows = [
                     [moments[i + j] for j in range(k)] for i in range(k)
                 ]
-                if _det(rows) < 0:
+                if SquareMatrix(rows).det().re < 0:
                     notes.append(
                         "%s moments of %s fail positivity at Hankel size %d"
                         % (state, letter, k)

@@ -8,6 +8,7 @@ exact bytes, since determinism is part of the contract.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -626,6 +627,41 @@ def test_long_order_spec_is_read_only_as_far_as_the_query(tmp_path, capsys):
         capsys, "moments", "--poly", "x+y", "--spec", str(path), "--order", "2"
     )
     assert (code, out, err) == (0, '{"moments":["0","2"]}\n', "")
+
+
+def test_spec_order_past_the_word_ceiling_exits_3_before_any_moment(
+    tmp_path, capsys
+):
+    # a moment of order k is a k-letter word: the ceiling is MAX_WORD
+    path = tmp_path / "huge_order.json"
+    path.write_text(json.dumps(dict(SPEC20, order=10**9)))
+    code, out, err = run(
+        capsys, "moments", "--poly", "x", "--spec", str(path), "--order", "1"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "cfree: spec order 1000000000 exceeds the ceiling of 500 letters per word\n"
+    )
+
+
+def test_power_past_the_term_pair_ceiling_exits_3_at_once(spec_files, capsys):
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "moments", "--poly=(x+y)^40", "--spec", spec_files["unit"],
+        "--order=1",
+    )
+    assert time.perf_counter() - started < 30  # (x+y)^40 has 2^40 words
+    assert (code, out) == (3, "")
+    assert err.startswith("cfree: a product of 65536 by 65536 terms exceeds")
+    assert err.count("\n") == 1
+    # (x+y)^12, 4096 words, is still read
+    code, out, err = run(
+        capsys, "denoise", "--spec", spec_files["unit"], "--poly", "(x+y)^12",
+        "--target", "x", "--degree", "0",
+    )
+    assert (code, out, err) == (
+        0, '{"coefficients":["1"],"rank":1,"residuals":["0"]}\n', ""
+    )
 
 
 def test_verify_unknown_suite(capsys):

@@ -89,6 +89,16 @@ def test_pow_refuses_words_past_the_ceiling_before_building_them(monkeypatch):
         parse_poly("x^" + "9" * 5000)
 
 
+def test_products_past_the_pair_ceiling_are_refused_before_they_are_built():
+    p = (X + Y) ** 10  # 1024 words
+    assert len(p.terms) == 1024
+    assert len(parse_poly("(x+y)^12").terms) == 4096
+    with pytest.raises(LimitError, match="term pairs"):
+        p * (p + ONE)  # 1024 * 1025 pairs: 1024 past the ceiling of 2^20
+    with pytest.raises(LimitError, match="term pairs"):
+        parse_poly("(x+y)^40")
+
+
 def test_constant_inverse():
     assert NCPolynomial.scalar(gq(2)).inverse() == NCPolynomial.scalar(
         gq(Fraction(1, 2))

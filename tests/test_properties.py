@@ -10,6 +10,10 @@ The cumulant tables, which grow each sequence only to the order read:
 their free and c-free cumulants must give back the moments as partition
 sums, reads in any order must give the values of one full-order read,
 and the oracle must not see how far a spec's tables were grown.
+
+The series kernels: products, inverses and compositions of truncated
+series, scalar or 2x2-matrix valued and often zero, must equal naive
+double loops written here.
 """
 
 import random
@@ -25,10 +29,12 @@ from cfree.cumulants import (
     partition_weight_outer_inner,
 )
 from cfree.engine import _poly_moments
+from cfree.errors import DomainError
 from cfree.ncpoly import NCPolynomial
 from cfree.partitions import enumerate_nc
 from cfree.scalars import GaussianRational
 from cfree.selfcheck import oracle_moments
+from cfree.series import SquareMatrix, TruncSeries
 from cfree.twostate import random_spec
 
 COEFFS = (
@@ -159,3 +165,80 @@ def test_a_real_gaussian_rational_hashes_like_its_fraction(a, b):
     if b:
         assert hash(x / y) == hash(a / b)
     assert GaussianRational(a, 1) != a
+
+
+# -- the series kernels against naive double loops ----------------------------
+
+ZERO_MATRIX = SquareMatrix.zeros(2)
+scalars = st.one_of(st.just(ZERO), st.sampled_from(COEFFS))
+matrices = st.one_of(
+    st.just(ZERO_MATRIX),
+    st.lists(scalars, min_size=4, max_size=4).map(
+        lambda e: SquareMatrix((e[:2], e[2:]))
+    ),
+)
+rings = st.sampled_from((scalars, matrices))
+
+
+def coefficient_lists(ring, max_order=6):
+    return st.lists(ring, min_size=1, max_size=max_order + 1)
+
+
+def naive_product(p, q):
+    """The Cauchy product of two coefficient lists, to the shorter one."""
+    n = min(len(p), len(q))
+    out = [p[0].zero_like()] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = out[i + j] + p[i] * q[j]
+    return out
+
+
+def times(c, a):
+    """The scalar c times a ring element, entry by entry for a matrix."""
+    return a.map(lambda e: c * e) if isinstance(a, SquareMatrix) else c * a
+
+
+def naive_compose(outer, inner, skip=0):
+    """sum_{k >= skip} outer[k] * inner^(k - skip), to the inner order."""
+    zero = inner[0]
+    power = [zero.one_like()] + [zero] * (len(inner) - 1)
+    out = [zero] * len(inner)
+    for c in outer[skip:]:
+        out = [a + times(c, b) for a, b in zip(out, power)]
+        power = naive_product(power, inner)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_series_product_equals_the_double_loop(data):
+    ring = data.draw(rings)
+    p, q = data.draw(coefficient_lists(ring)), data.draw(coefficient_lists(ring))
+    assert list((TruncSeries(p) * TruncSeries(q)).coeffs) == naive_product(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_series_inverse_is_a_two_sided_inverse_under_the_double_loop(data):
+    c = data.draw(coefficient_lists(data.draw(rings)))
+    try:
+        c[0].inverse()
+    except DomainError:
+        assume(False)
+    d = list(TruncSeries(c).inverse().coeffs)
+    one = [c[0].one_like()] + [c[0].zero_like()] * (len(c) - 1)
+    assert naive_product(c, d) == one
+    assert naive_product(d, c) == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compositions_equal_sums_of_repeated_products(data):
+    # independent orders: the outer one lands above, at and below the inner
+    outer = data.draw(coefficient_lists(scalars, max_order=8))
+    inner = data.draw(coefficient_lists(data.draw(rings)))
+    inner[0] = inner[0].zero_like()
+    s, w = TruncSeries(outer), TruncSeries(inner)
+    assert list(s.compose(w).coeffs) == naive_compose(outer, inner)
+    assert list(s.compose_shifted(w).coeffs) == naive_compose(outer, inner, 1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cfree.errors import DomainError
+from cfree.ncpoly import NCPolynomial
 from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, gq
 from cfree.series import SquareMatrix, TruncSeries
 
@@ -57,9 +58,8 @@ def test_mul_and_shift():
         a.shift(-1)
 
 
-def test_valuation_and_agreement():
-    assert series(0, 0, 3, 1).valuation() == 2
-    assert series(0, 0, 0).valuation() is None
+def test_is_zero_and_agreement():
+    assert not series(0, 0, 3, 1).is_zero()
     assert series(0, 0, 0).is_zero()
     assert series(1, 2, 3).agrees_with(series(1, 2, 4), order=1)
     assert not series(1, 2, 3).agrees_with(series(1, 2, 4))
@@ -253,3 +253,48 @@ def test_scalar_mul_both_sides():
     m = SquareMatrix(((gq(1), gq(2)), (gq(3), gq(4))))
     assert gq(2) * m == m * gq(2)
     assert (gq(2) * m).entry(1, 0) == gq(6)
+
+
+def test_polynomial_times_scalar_matrix_keeps_polynomial_zeros():
+    m = SquareMatrix(((gq(2), GQ_ZERO), (GQ_ZERO, GQ_I)))
+    x = NCPolynomial.letter("x")
+    zero = NCPolynomial.zero()
+    for got in (x * m, m.scale(x)):
+        assert got == SquareMatrix(((x * gq(2), zero), (zero, x * GQ_I)))
+        assert all(isinstance(e, NCPolynomial) for row in got.rows for e in row)
+    # a scalar times a polynomial matrix stays polynomial too
+    got = gq(3) * SquareMatrix.identity(2, NCPolynomial.one())
+    assert all(isinstance(e, NCPolynomial) for row in got.rows for e in row)
+    assert got.entry(0, 1) == zero and got.entry(1, 1) == NCPolynomial.scalar(3)
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = GQ_ZERO
+    for j, a in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = a * cofactor_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def test_det_equals_the_cofactor_expansion():
+    rng = random.Random(23)
+    for _ in range(40):
+        rows = [
+            [gq(rng.randint(-3, 3), rng.choice((0, 0, 1, -1))) for _ in range(3)]
+            for _ in range(3)
+        ]
+        assert SquareMatrix(rows).det() == cofactor_det(rows)
+        # a third row in the span of the first two makes it singular
+        a, b = gq(rng.randint(-2, 2)), gq(rng.randint(-2, 2), rng.randint(-1, 1))
+        rows[2] = [a * p + b * q for p, q in zip(rows[0], rows[1])]
+        singular = SquareMatrix(rows)
+        assert cofactor_det(rows) == GQ_ZERO
+        assert singular.det() == GQ_ZERO
+        with pytest.raises(DomainError, match="singular"):
+            singular.inverse()
+    # a zero leading pivot forces a swap, which flips the sign
+    assert SquareMatrix(((gq(0), gq(1)), (gq(1), gq(0)))).det() == gq(-1)
