@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import itertools
 
-from .engine import _z_times, solve_fixed_point
+from .engine import solve_fixed_point
 from .errors import DomainError, LimitError
 from .ncpoly import MAX_WORD, NCPolynomial, block_factorize
-from .series import SquareMatrix, TruncSeries
+from .series import TruncSeries, geometric
 from .twostate import multilinear_boolean, partial_block_boolean
 
 __all__ = [
@@ -197,14 +197,9 @@ def _lift_entries(series):
 
 def _efree_resolvent_factor(st):
     """(I - z A X - z B F_Y)^{-1} at the state's order."""
-    order = st.order
     x = NCPolynomial.letter("x")
     ax = st.a.map(lambda mat: mat.map(lambda c: c * x))
-    bf = _lift_entries(st.b * st.f_y)
-    ident = TruncSeries.constant(
-        SquareMatrix.identity(st.n, NCPolynomial.one()), order
-    )
-    return (ident - _z_times(ax + bf, order)).inverse()
+    return geometric(ax + _lift_entries(st.b * st.f_y), st.order)
 
 
 def efree_resolvent(spec, a, b, order):
@@ -227,9 +222,9 @@ def rqce_resolvent(spec, a, b, order):
     conditional expectation of the resolvent.
     """
     st = solve_fixed_point(spec, a, b, order)
-    order = st.order
     first = _lift_entries(st.m_phi)
     mixed = (st.a * st.f_x_phi) + (st.b * st.f_y)
-    ident = TruncSeries.constant(SquareMatrix.identity(st.n), order)
-    middle = _lift_entries(ident - _z_times(mixed, order))
-    return first * middle * _efree_resolvent_factor(st)
+    # I - z * mixed, whose last coefficient sits at z^order
+    ident = mixed.coeffs[0].one_like()
+    middle = TruncSeries(((ident,) + (-mixed).coeffs)[: order + 1])
+    return first * _lift_entries(middle) * _efree_resolvent_factor(st)

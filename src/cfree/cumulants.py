@@ -25,7 +25,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .partitions import enumerate_interval, outer_inner
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational
-from .series import Powers, TruncSeries, cauchy
+from .series import Powers, TruncSeries, cauchy, geometric
 
 MOMENT_STATES = ("psi", "phi")
 CUMULANT_KINDS = ("boolean-psi", "boolean-phi", "free-psi", "cfree")
@@ -148,7 +148,8 @@ def moments_from_boolean(beta, state=None):
     """M = 1 / (1 - eta), the inverse of the deconcatenation recursion."""
     if state is None:
         state = "phi" if beta.kind == "boolean-phi" else "psi"
-    m = (TruncSeries.constant(GQ_ONE, beta.order) - eta_series(beta)).inverse()
+    # eta = z s with s_k = beta_{k+1}; the padding keeps s nonempty
+    m = geometric(TruncSeries(beta.values + (GQ_ZERO,)), beta.order)
     return MomentSeq(m.coeffs[1:], state)
 
 
@@ -232,9 +233,8 @@ def phi_moments_from_cfree(cfree, r_psi):
         raise DomainError("cumulant orders differ")
     n = cfree.order
     g = _psi_reversion(r_psi).truncated(n)
-    eta = TruncSeries((GQ_ZERO,) + cfree.values).compose_shifted(g).shift(1)
-    m_phi = (TruncSeries.constant(GQ_ONE, n) - eta).inverse()
-    return MomentSeq(m_phi.coeffs[1:], "phi")
+    rc_of_g = TruncSeries((GQ_ZERO,) + cfree.values).compose_shifted(g)
+    return MomentSeq(geometric(rc_of_g, n).coeffs[1:], "phi")
 
 
 def cfree_from_two_moments(m_phi, m_psi):
@@ -321,11 +321,3 @@ def boolean_products_recursive(beta, rho, args):
         return total
 
     return rec(list(args), ends)
-
-
-def boolean_products(beta, rho, args, method="recursive"):
-    if method == "recursive":
-        return boolean_products_recursive(beta, rho, args)
-    if method == "join":
-        return boolean_products_join(beta, rho, args)
-    raise DomainError("unknown method %r" % (method,))

@@ -35,7 +35,7 @@ from .errors import DomainError, InternalError
 from .linearize import linearize, word_resolvent
 from .ncpoly import parse_poly
 from .scalars import GQ_ONE, GaussianRational
-from .series import Powers, SquareMatrix, TruncSeries, cauchy
+from .series import Powers, SquareMatrix, TruncSeries, cauchy, geometric, settle
 from .cumulants import MomentSeq
 
 __all__ = [
@@ -92,12 +92,6 @@ def _as_matrix_series(coeffs, order):
     zero = SquareMatrix.zeros(n)
     padded = stack[: order + 1] + (zero,) * (order + 1 - len(stack))
     return TruncSeries(padded), n
-
-
-def _z_times(series, order):
-    """z * series, extended (not wrapped) and truncated to the order."""
-    zero = series.coeffs[0].zero_like()
-    return TruncSeries(((zero,) + series.coeffs)[: order + 1])
 
 
 def resolvent_series(a, b, order):
@@ -163,37 +157,15 @@ class EngineState:
         return self.mgf(which).map(lambda mat: mat.apply_bilinear(u, v))
 
 
-def _settle(step, sweep, width, order):
-    """Solve a triangular fixed point online, then certify it.
-
-    step(blocks, t) returns the z^t coefficient of each of the width
-    blocks, computed only from the coefficients below t that blocks (the
-    lists grown so far) hold.  After the steps t = 0 ... order, one sweep
-    at the full order, sweep(series, order), recomputes every block from
-    scratch; it must return the grown series unchanged, or InternalError
-    is raised.
-    """
-    blocks = tuple([] for _ in range(width))
-    for t in range(order + 1):
-        for block, c in zip(blocks, step(blocks, t)):
-            block.append(c)
-    grown = tuple(TruncSeries(block) for block in blocks)
-    if sweep(grown, order) != grown:
-        raise InternalError(
-            "subordination fixed point failed to stabilize after %d sweeps"
-            % (order + 2)
-        )
-    return grown
-
-
 def _sweep(spec, a_s, b_s, ident, blocks, t):
-    """The four psi blocks at order t, recomputed from scratch."""
+    """The four psi blocks at order t, recomputed from scratch (H by the
+    series inverse: the certificate must not trust the online kernels)."""
     h_x, h_y, f_x, f_y = blocks
     return (
-        (ident - _z_times(a_s * f_x, t)).inverse(),
-        (ident - _z_times(b_s * f_y, t)).inverse(),
-        spec.eta("x", "psi", t + 1).compose_shifted(_z_times(h_y * a_s, t)),
-        spec.eta("y", "psi", t + 1).compose_shifted(_z_times(h_x * b_s, t)),
+        (ident - (a_s * f_x).shift(1)).inverse(),
+        (ident - (b_s * f_y).shift(1)).inverse(),
+        spec.eta("x", "psi", t + 1).compose_shifted((h_y * a_s).shift(1)),
+        spec.eta("y", "psi", t + 1).compose_shifted((h_x * b_s).shift(1)),
     )
 
 
@@ -245,7 +217,7 @@ def solve_fixed_point(spec, a, b, order):
         )
 
     ident = TruncSeries.constant(one, sub)
-    h_x, h_y, f_x, f_y = _settle(
+    h_x, h_y, f_x, f_y = settle(
         step,
         lambda blocks, t: _sweep(spec, a_s, b_s, ident, blocks, t),
         4,
@@ -254,11 +226,6 @@ def solve_fixed_point(spec, a, b, order):
     phi_x, phi_y = (spec.eta(ch, "phi", sub + 1).coeffs[1:] for ch in "xy")
     f_x_phi = TruncSeries(w_x.combine(phi_x, t) for t in range(sub + 1))
     f_y_phi = TruncSeries(w_y.combine(phi_y, t) for t in range(sub + 1))
-
-    def transform(fx, fy):
-        term = _z_times((a_s * fx) + (b_s * fy), order)
-        full_ident = TruncSeries.constant(SquareMatrix.identity(n), order)
-        return (full_ident - term).inverse()
 
     return EngineState(
         spec=spec,
@@ -272,8 +239,8 @@ def solve_fixed_point(spec, a, b, order):
         f_y=f_y,
         f_x_phi=f_x_phi,
         f_y_phi=f_y_phi,
-        m_phi=transform(f_x_phi, f_y_phi),
-        m_psi=transform(f_x, f_y),
+        m_phi=geometric(a_s * f_x_phi + b_s * f_y_phi, order),
+        m_psi=geometric(a_s * f_x + b_s * f_y, order),
     )
 
 

@@ -15,10 +15,12 @@ the y-labeled ones, and u = v = the root coordinate vector.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, LimitError
 from .ncpoly import NCPolynomial
 from .scalars import GQ_ONE, GQ_ZERO
-from .series import SquareMatrix, TruncSeries
+from .series import SquareMatrix, TruncSeries, geometric
+
+MAX_PENCIL = 64  # states; the engine costs ~n^3 and n = 63 takes over a minute
 
 
 class Linearization:
@@ -67,10 +69,7 @@ def word_resolvent(a_coeffs, b_coeffs, n, order):
         var = NCPolynomial.letter(letter)
         for k, mat in enumerate(stack[: order + 1]):
             lifted[k] = lifted[k] + mat.map(lambda c: c * var)
-    ident = TruncSeries.constant(
-        SquareMatrix.identity(n, NCPolynomial.one()), order
-    )
-    return (ident - TruncSeries(lifted).shift(1)).inverse()
+    return geometric(TruncSeries(lifted), order)
 
 
 def linearize(p):
@@ -88,6 +87,11 @@ def linearize(p):
         for k in range(1, len(word)):
             states.setdefault(word[:k], len(states))
     n = len(states)
+    if n > MAX_PENCIL:
+        raise LimitError(
+            "the pencil of this polynomial has %d states, past the ceiling %d"
+            % (n, MAX_PENCIL)
+        )
 
     a_entries = {}
     b_entries = {}

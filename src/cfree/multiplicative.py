@@ -11,9 +11,9 @@ with omega_X, the Boolean transform of XY in either state factors as
 eta^st_X(omega_X) * eta^st_Y(omega_Y) pointwise in the shifted picture,
 and the phi-transform of the product is the geometric series in that
 factored symbol.  The fixed point is triangular order by order: the
-engine's driver solves it online, one coefficient of each series per
-step with the powers of omega_X and omega_Y extended as they grow, and
-certifies it by one sweep at the full order.
+series layer's driver, settle, solves it online, one coefficient of each
+series per step with the powers of omega_X and omega_Y extended as they
+grow, and certifies it by one sweep at the full order.
 
 sigma_transform computes the multiplicative symbol of a single pair of
 marginals: the shifted phi-Boolean transform reparametrized by the
@@ -24,10 +24,9 @@ property, checked in the tests, is multiplicativity over the product.
 from __future__ import annotations
 
 from .cumulants import MomentSeq, boolean_from_moments, eta_series
-from .engine import _settle, _z_times
 from .errors import DomainError
 from .scalars import GQ_ONE, GQ_ZERO
-from .series import Powers, TruncSeries
+from .series import Powers, geometric, settle
 
 __all__ = [
     "SubordinationPair",
@@ -64,9 +63,9 @@ class SubordinationPair:
         return "SubordinationPair(%r, %r)" % (self.omega_x, self.omega_y)
 
 
-def _advance(eta, omega_other, order):
-    """z * etat(omega_other) at the order, recomputed from scratch."""
-    return _z_times(eta.compose_shifted(omega_other), order)
+def _advance(eta, omega_other):
+    """z * etat(omega_other) at omega_other's order, from scratch."""
+    return eta.compose_shifted(omega_other).shift(1)
 
 
 def subordination_pair(spec, order):
@@ -93,9 +92,9 @@ def subordination_pair(spec, order):
         p_y.extend(pair[1][t - 1])
         return p_y.combine(b_y, t - 1), p_x.combine(b_x, t - 1)
 
-    omega_x, omega_y = _settle(
+    omega_x, omega_y = settle(
         step,
-        lambda pair, t: (_advance(eta_y, pair[1], t), _advance(eta_x, pair[0], t)),
+        lambda pair, t: (_advance(eta_y, pair[1]), _advance(eta_x, pair[0])),
         2,
         order,
     )
@@ -109,12 +108,9 @@ def mgf_product_phi(spec, order):
     its coefficients are exactly phi((XY)^n).
     """
     pair = subordination_pair(spec, order)
-    if order == 0:
-        return TruncSeries.constant(GQ_ONE, 0)
-    tx = spec.eta("x", "phi", order).compose_shifted(pair.omega_x).truncated(order - 1)
-    ty = spec.eta("y", "phi", order).compose_shifted(pair.omega_y).truncated(order - 1)
-    symbol = TruncSeries((GQ_ZERO,) + (tx * ty).coeffs)
-    return (TruncSeries.constant(GQ_ONE, order) - symbol).inverse()
+    tx = spec.eta("x", "phi", order).compose_shifted(pair.omega_x)
+    ty = spec.eta("y", "phi", order).compose_shifted(pair.omega_y)
+    return geometric(tx * ty, order)
 
 
 def sigma_transform(marginal, order):

@@ -6,12 +6,15 @@ of the package's rings: Gaussian rationals, square matrices over them, or
 noncommutative polynomials.  Binary operations between series of
 different orders truncate to the smaller order.
 
-Two kernels multiply series: cauchy (one coefficient of a product) and
-Powers (the powers of a series, grown one coefficient at a time).  What
-each operation needs of the coefficient ring:
+Three kernels do the work: cauchy (one coefficient of a product),
+geometric ((1 - z s)^{-1}) and Powers (the powers of a series, grown one
+coefficient at a time); settle drives every triangular fixed point.
+What each operation needs of the coefficient ring:
 
 - cauchy, and TruncSeries.__mul__ (cauchy at each index): +, * and
   is_zero(), with zero_like() for an empty sum;
+- geometric (m_t from cauchy of s with m_0..m_{t-1}): the same plus
+  one_like(), and no - or inverse(), so noncommutative entries serve;
 - TruncSeries.inverse (d_n from cauchy of the tail with d_0..d_{n-1}):
   the same plus unary - and inverse() of the constant term;
 - Powers, and compose and compose_shifted (one table of the inner
@@ -26,7 +29,7 @@ its entries need inverse() for the pivots.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .scalars import GQ_ONE, GQ_ZERO
 
 
@@ -231,6 +234,43 @@ def cauchy(p, q, k, zero):
         term = a * b
         acc = term if acc is None else acc + term
     return zero if acc is None else acc
+
+
+def geometric(s, order):
+    """(1 - z s)^{-1} to the order: m_0 = 1, m_t = sum_j s_j m_{t-1-j}.
+
+    s holds at least order coefficients and multiplies from the left.
+    """
+    s = s.coeffs
+    one = s[0].one_like()
+    zero = one.zero_like()
+    out = [one]
+    for t in range(1, order + 1):
+        out.append(cauchy(s, out, t - 1, zero))
+    return TruncSeries(out)
+
+
+def settle(step, sweep, width, order):
+    """Solve a triangular fixed point online, then certify it.
+
+    step(blocks, t) returns the z^t coefficient of each of the width
+    blocks, computed only from the coefficients below t that blocks (the
+    lists grown so far) hold.  After the steps t = 0 ... order, one sweep
+    at the full order, sweep(series, order), recomputes every block from
+    scratch; it must return the grown series unchanged, or InternalError
+    is raised.
+    """
+    blocks = tuple([] for _ in range(width))
+    for t in range(order + 1):
+        for block, c in zip(blocks, step(blocks, t)):
+            block.append(c)
+    grown = tuple(TruncSeries(block) for block in blocks)
+    if sweep(grown, order) != grown:
+        raise InternalError(
+            "subordination fixed point failed to stabilize after %d sweeps"
+            % (order + 2)
+        )
+    return grown
 
 
 class Powers:

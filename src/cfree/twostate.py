@@ -350,45 +350,48 @@ def letterwise_boolean_poly(spec, state, poly, partial=None):
     return total
 
 
-def nested_two_state_boolean(spec, p, args, method="direct"):
-    """Outer blocks under phi, inner under psi; or the ll-refinement sum."""
+def nested_two_state_boolean(spec, p, args):
+    """Outer blocks under phi, inner under psi."""
     if len(args) != p.n:
         raise DomainError("argument count differs from ground set")
-    if method == "direct":
-        outer, inner = outer_inner(p)
-        value = GQ_ONE
+    outer, inner = outer_inner(p)
+    value = GQ_ONE
+    for block in outer:
+        value = value * multilinear_boolean(
+            spec, "phi", [args[i - 1] for i in block]
+        )
+    for block in inner:
+        value = value * multilinear_boolean(
+            spec, "psi", [args[i - 1] for i in block]
+        )
+    return value
+
+
+def nested_two_state_refinement(spec, p, args):
+    """nested_two_state_boolean as the sum over the ll-refinements of p."""
+    if len(args) != p.n:
+        raise DomainError("argument count differs from ground set")
+    free_memo = {}
+    cfree_memo = {}
+    total = GQ_ZERO
+    for rho in enumerate_nc(p.n):
+        if not is_ll(rho, p):
+            continue
+        outer, inner = outer_inner(rho)
+        term = GQ_ONE
         for block in outer:
-            value = value * multilinear_boolean(
-                spec, "phi", [args[i - 1] for i in block]
+            term = term * _multi_cfree(
+                spec,
+                tuple(args[i - 1] for i in block),
+                free_memo,
+                cfree_memo,
             )
         for block in inner:
-            value = value * multilinear_boolean(
-                spec, "psi", [args[i - 1] for i in block]
+            term = term * _multi_free(
+                spec, tuple(args[i - 1] for i in block), free_memo
             )
-        return value
-    if method == "refinement":
-        free_memo = {}
-        cfree_memo = {}
-        total = GQ_ZERO
-        for rho in enumerate_nc(p.n):
-            if not is_ll(rho, p):
-                continue
-            outer, inner = outer_inner(rho)
-            term = GQ_ONE
-            for block in outer:
-                term = term * _multi_cfree(
-                    spec,
-                    tuple(args[i - 1] for i in block),
-                    free_memo,
-                    cfree_memo,
-                )
-            for block in inner:
-                term = term * _multi_free(
-                    spec, tuple(args[i - 1] for i in block), free_memo
-                )
-            total = total + term
-        return total
-    raise DomainError("unknown method %r" % (method,))
+        total = total + term
+    return total
 
 
 def vnrp_boolean_phi(spec, args, colors):
@@ -401,7 +404,7 @@ def vnrp_boolean_phi(spec, args, colors):
     for p in enumerate_nc_colored(colors):
         if not p.is_irreducible() or not is_vnrp(p, colors):
             continue
-        total = total + nested_two_state_boolean(spec, p, args, "direct")
+        total = total + nested_two_state_boolean(spec, p, args)
     return total
 
 

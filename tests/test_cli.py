@@ -664,6 +664,30 @@ def test_power_past_the_term_pair_ceiling_exits_3_at_once(spec_files, capsys):
     )
 
 
+def test_pencil_past_the_state_ceiling_exits_3_at_once(spec_files, capsys):
+    # (x+y)^12 parses (4096 words) but its trie pencil has 4095 states;
+    # denoise, which reads it through the oracle, answers (test above)
+    for argv in (
+        ("moments", "--order=1"),
+        ("condexp", "--state=psi", "--resolvent", "--order=1"),
+    ):
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, *argv, "--poly=(x+y)^12", "--spec", spec_files["unit"]
+        )
+        assert time.perf_counter() - started < 30
+        assert (code, out) == (3, "")
+        assert err == (
+            "cfree: the pencil of this polynomial has 4095 states, "
+            "past the ceiling 64\n"
+        )
+    code, out, err = run(
+        capsys, "moments", "--poly=(x+y)^5", "--spec", spec_files["unit"],
+        "--order=1",
+    )
+    assert (code, err) == (0, "")  # 31 states
+
+
 def test_verify_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "bogus")
     assert code == 2

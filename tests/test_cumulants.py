@@ -7,7 +7,8 @@ from cfree.cumulants import (
     CumulantSeq,
     MomentSeq,
     boolean_from_moments,
-    boolean_products,
+    boolean_products_join,
+    boolean_products_recursive,
     cfree_from_two_moments,
     eta_series,
     free_from_moments,
@@ -335,15 +336,22 @@ def test_boolean_products_extremes():
     # product (full rho): every interval partition contributes, the moment
     beta = boolean_from_moments(SEMICIRCLE_M)
     fn = scalar_beta(beta)
-    assert boolean_products(fn, SetPartition.discrete(4), "aaaa") == beta.value(4)
-    assert boolean_products(fn, SetPartition.full(4), "aaaa") == SEMICIRCLE_M.moment(4)
+    assert boolean_products_recursive(
+        fn, SetPartition.discrete(4), "aaaa"
+    ) == beta.value(4)
+    assert boolean_products_recursive(
+        fn, SetPartition.full(4), "aaaa"
+    ) == SEMICIRCLE_M.moment(4)
 
 
 def test_boolean_products_frozen():
     # beta_2(a*a, a) for the semicircle vanishes on parity
     beta = boolean_from_moments(SEMICIRCLE_M)
     rho = SetPartition(3, [[1, 2], [3]])
-    assert boolean_products(scalar_beta(beta), rho, "aaa") == GQ_ZERO
+    assert boolean_products_recursive(scalar_beta(beta), rho, "aaa") == GQ_ZERO
+    for products in (boolean_products_recursive, boolean_products_join):
+        with pytest.raises(DomainError):
+            products(scalar_beta(beta), SetPartition(2, [[1], [2]]), "aaa")
 
 
 def test_boolean_products_methods_agree():
@@ -357,9 +365,9 @@ def test_boolean_products_methods_agree():
         for n in range(1, 7):
             for rho in enumerate_interval(n):
                 args = "a" * n
-                assert boolean_products(
-                    fn, rho, args, method="join"
-                ) == boolean_products(fn, rho, args, method="recursive")
+                assert boolean_products_join(
+                    fn, rho, args
+                ) == boolean_products_recursive(fn, rho, args)
 
 
 def test_boolean_products_deconcatenation():
@@ -369,14 +377,6 @@ def test_boolean_products_deconcatenation():
     beta = boolean_from_moments(m)
     fn = scalar_beta(beta)
     for n in range(1, 6):
-        assert boolean_products(fn, SetPartition.full(n), "a" * n) == m.moment(n)
-
-
-def test_boolean_products_bad_method():
-    beta = boolean_from_moments(SEMICIRCLE_M)
-    with pytest.raises(DomainError):
-        boolean_products(scalar_beta(beta), SetPartition.full(2), "aa", method="x")
-    with pytest.raises(DomainError):
-        boolean_products(
-            scalar_beta(beta), SetPartition(2, [[1], [2]]), "aaa"
-        )
+        assert boolean_products_recursive(
+            fn, SetPartition.full(n), "a" * n
+        ) == m.moment(n)

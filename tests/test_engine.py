@@ -14,9 +14,7 @@ from cfree import engine, multiplicative
 from cfree.cumulants import boolean_from_moments, eta_series
 from cfree.engine import (
     _as_matrix_series,
-    _settle,
     _sweep,
-    _z_times,
     poly_distribution,
     resolvent_series,
     solve_fixed_point,
@@ -27,7 +25,7 @@ from cfree.multiplicative import _advance, mgf_product_phi, subordination_pair
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, gq
 from cfree.selfcheck import oracle_moments
-from cfree.series import SquareMatrix, TruncSeries
+from cfree.series import SquareMatrix, TruncSeries, settle
 from cfree.twostate import (
     TwoStateSpec,
     atom_moments,
@@ -275,7 +273,7 @@ def test_solve_is_deterministic_and_state_immutable():
 def geometric_sweep(blocks, order):
     """f -> 1 + z f from scratch; its fixed point is 1/(1 - z)."""
     (f,) = blocks
-    return (TruncSeries.constant(GQ_ONE, order) + _z_times(f, order),)
+    return (TruncSeries.constant(GQ_ONE, order) + f.shift(1),)
 
 
 def test_settle_certificate_rejects_a_step_that_never_settles():
@@ -286,8 +284,8 @@ def test_settle_certificate_rejects_a_step_that_never_settles():
         return tuple(f + TruncSeries.constant(GQ_ONE, order) for f in blocks)
 
     with pytest.raises(InternalError, match="failed to stabilize after 4 sweeps"):
-        _settle(lambda blocks, t: (GQ_ONE,), never, 1, 2)
-    grown = _settle(lambda blocks, t: (GQ_ONE,), geometric_sweep, 1, 2)
+        settle(lambda blocks, t: (GQ_ONE,), never, 1, 2)
+    grown = settle(lambda blocks, t: (GQ_ONE,), geometric_sweep, 1, 2)
     assert grown == (TruncSeries((GQ_ONE,) * 3),)
 
 
@@ -301,9 +299,9 @@ def test_settle_certificate_rejects_a_step_wrong_only_at_full_order():
         return (GQ_ONE + GQ_ONE if t == 4 else GQ_ONE,)
 
     with pytest.raises(InternalError, match="failed to stabilize after 6 sweeps"):
-        _settle(step, geometric_sweep, 1, 4)
+        settle(step, geometric_sweep, 1, 4)
     # the same step with a consistent top coefficient settles to the target
-    exact = _settle(lambda blocks, t: (GQ_ONE,), geometric_sweep, 1, 4)
+    exact = settle(lambda blocks, t: (GQ_ONE,), geometric_sweep, 1, 4)
     assert exact == (target,)
 
 
@@ -330,7 +328,7 @@ def test_certificate_catches_one_corrupted_grown_coefficient(monkeypatch, block)
     spec = random_spec(rng, 7)
     a = rand_matrix(rng, 2)
     b = rand_matrix(rng, 2)
-    monkeypatch.setattr(engine, "_settle", corrupting(_settle, block, 3))
+    monkeypatch.setattr(engine, "settle", corrupting(settle, block, 3))
     with pytest.raises(InternalError, match="failed to stabilize after 8 sweeps"):
         solve_fixed_point(spec, a, b, 7)
 
@@ -340,7 +338,7 @@ def test_certificate_catches_one_corrupted_subordination_coefficient(
     monkeypatch, block
 ):
     spec = random_spec(random.Random(53), 7)
-    monkeypatch.setattr(multiplicative, "_settle", corrupting(_settle, block, 3))
+    monkeypatch.setattr(multiplicative, "settle", corrupting(settle, block, 3))
     with pytest.raises(InternalError, match="failed to stabilize after 9 sweeps"):
         subordination_pair(spec, 7)
 
@@ -356,8 +354,8 @@ def jacobi_blocks(spec, a, b, order):
         blocks = _sweep(spec, a_s, b_s, ident, blocks, sub)
     h_x, h_y, _, _ = blocks
     return blocks + (
-        spec.eta("x", "phi").compose_shifted(_z_times(h_y * a_s, sub)),
-        spec.eta("y", "phi").compose_shifted(_z_times(h_x * b_s, sub)),
+        spec.eta("x", "phi").compose_shifted((h_y * a_s).shift(1)),
+        spec.eta("y", "phi").compose_shifted((h_x * b_s).shift(1)),
     )
 
 
@@ -389,8 +387,8 @@ def test_online_subordination_equals_iterated_advance():
             omega_x, omega_y = zero, zero
             for _ in range(order + 2):
                 omega_x, omega_y = (
-                    _advance(eta_y, omega_y, order),
-                    _advance(eta_x, omega_x, order),
+                    _advance(eta_y, omega_y),
+                    _advance(eta_x, omega_x),
                 )
             pair = subordination_pair(spec, order)
             assert (pair.omega_x, pair.omega_y) == (omega_x, omega_y), (seed, order)

@@ -83,8 +83,12 @@ SLOW_REFERENCES = {
     "output against the definition of a noncrossing partition",
     "partitions.SetPartition.discrete": "the bottom of the partition "
     "lattice in the partitioned_functional and boolean_products tests",
-    "cumulants.boolean_products": "the interval-product identity that "
-    "cross-checks block_boolean against letterwise cumulants",
+    "cumulants.boolean_products_recursive": "the interval-product "
+    "identity that cross-checks block_boolean against letterwise cumulants",
+    "cumulants.boolean_products_join": "the same identity by the "
+    "interval-lattice join condition, against boolean_products_recursive",
+    "twostate.nested_two_state_refinement": "the ll-refinement sum that "
+    "cross-checks nested_two_state_boolean, the vnrp summand",
     "cumulants.partition_weight": "the free-cumulant partition sum that "
     "cross-checks free_from_moments and moments_from_free",
     "cumulants.partition_weight_outer_inner": "the outer/inner partition "

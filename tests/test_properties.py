@@ -13,7 +13,8 @@ and the oracle must not see how far a spec's tables were grown.
 
 The series kernels: products, inverses and compositions of truncated
 series, scalar or 2x2-matrix valued and often zero, must equal naive
-double loops written here.
+double loops written here, and the geometric series (1 - z s)^{-1} must
+equal the general series inverse, also over noncommutative entries.
 """
 
 import random
@@ -34,7 +35,7 @@ from cfree.ncpoly import NCPolynomial
 from cfree.partitions import enumerate_nc
 from cfree.scalars import GaussianRational
 from cfree.selfcheck import oracle_moments
-from cfree.series import SquareMatrix, TruncSeries
+from cfree.series import SquareMatrix, TruncSeries, geometric
 from cfree.twostate import random_spec
 
 COEFFS = (
@@ -242,3 +243,26 @@ def test_compositions_equal_sums_of_repeated_products(data):
     s, w = TruncSeries(outer), TruncSeries(inner)
     assert list(s.compose(w).coeffs) == naive_compose(outer, inner)
     assert list(s.compose_shifted(w).coeffs) == naive_compose(outer, inner, 1)
+
+
+# noncommutative entries: x and y do not commute, so a kernel that
+# multiplies s's entries from the wrong side changes the words
+polynomials = st.one_of(
+    st.just(NCPolynomial.zero()),
+    st.builds(NCPolynomial.word, st.text(alphabet="xy", max_size=2), scalars),
+)
+polynomial_matrices = st.one_of(
+    st.just(SquareMatrix.zeros(2, NCPolynomial.zero())),
+    st.lists(polynomials, min_size=4, max_size=4).map(
+        lambda e: SquareMatrix((e[:2], e[2:]))
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_geometric_equals_the_inverse_of_one_minus_z_s(data):
+    ring = data.draw(st.sampled_from((scalars, matrices, polynomial_matrices)))
+    s = TruncSeries(data.draw(coefficient_lists(ring)))
+    one = TruncSeries.constant(s.coeffs[0].one_like(), s.order)
+    assert geometric(s, s.order) == (one - s.shift(1)).inverse()

@@ -28,6 +28,7 @@ from cfree.twostate import (
     multilinear_cfree,
     multilinear_free,
     nested_two_state_boolean,
+    nested_two_state_refinement,
     partial_block_boolean,
     partial_letterwise_boolean,
     point_mass_moments,
@@ -36,7 +37,7 @@ from cfree.twostate import (
     spec_from_json,
     vnrp_boolean_phi,
 )
-from cfree.cumulants import MomentSeq, boolean_products
+from cfree.cumulants import MomentSeq, boolean_products_recursive
 
 
 def semicircle_bernoulli(order):
@@ -336,7 +337,7 @@ def test_block_vs_letterwise_products():
             start += k
         rho = SetPartition(len(w), runs)
         for state in ("psi", "phi"):
-            assert block_boolean(spec, state, w) == boolean_products(
+            assert block_boolean(spec, state, w) == boolean_products_recursive(
                 letter_fn(state), rho, tuple(w)
             )
 
@@ -369,8 +370,8 @@ def test_nested_direct_equals_refinement():
         (SetPartition(2, [[1], [2]]), ("y", "x")),
     ]
     for p, args in cases:
-        direct = nested_two_state_boolean(spec, p, args, method="direct")
-        refined = nested_two_state_boolean(spec, p, args, method="refinement")
+        direct = nested_two_state_boolean(spec, p, args)
+        refined = nested_two_state_refinement(spec, p, args)
         assert direct == refined
 
 
