@@ -90,8 +90,8 @@ def _checked_word(w, guard):
         raise DomainError("words are over the letters x and y, got %r" % (w,))
     if len(w) > guard:
         raise LimitError(
-            "word of length %d exceeds the guard %d; pass guard= to raise it"
-            % (len(w), guard)
+            "word of length %d exceeds the guard %d; raise it with --guard "
+            "on the command line or guard= in the library" % (len(w), guard)
         )
     if len(w) > MAX_WORD:
         raise LimitError(
@@ -222,7 +222,7 @@ def rqce_resolvent(spec, a, b, order):
     conditional expectation of the resolvent.
     """
     st = solve_fixed_point(spec, a, b, order)
-    first = _lift_entries(st.m_phi)
+    first = _lift_entries(st.mgf("phi"))
     mixed = (st.a * st.f_x_phi) + (st.b * st.f_y)
     # I - z * mixed, whose last coefficient sits at z^order
     ident = mixed.coeffs[0].one_like()

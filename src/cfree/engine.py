@@ -1,7 +1,8 @@
 """Matrix fixed-point engine for sums A(z) X + B(z) Y.
 
-Given a two-state spec and square matrix coefficients A, B (constant or
-polynomial in z), the engine solves the coupled subordination system
+Given a two-state spec and the z-coefficients of square matrices A, B
+(the pencil of a linearization), the engine solves the coupled
+subordination system
 
     H_X = (I - z A F_X)^{-1}        F_X  = etat^psi_X(z H_Y A)
     H_Y = (I - z B F_Y)^{-1}        F_Y  = etat^psi_Y(z H_X B)
@@ -10,7 +11,8 @@ polynomial in z), the engine solves the coupled subordination system
 
 where etat is the shifted Boolean cumulant transform of the appropriate
 marginal, applied to a matrix argument.  The moment transforms of the sum
-come out as matrix geometric series in the solved blocks:
+are matrix geometric series in the solved blocks, built only when read
+(EngineState.mgf):
 
     M^phi(z) = (I - z A F^phi_X - z B F^phi_Y)^{-1}
     M^psi(z) = (I - z A F_X    - z B F_Y   )^{-1}
@@ -25,93 +27,51 @@ not feed back; they are scalar combinations of the stored powers.
 
 Order bookkeeping: with target order N, the six subordination blocks are
 carried at order N-1 (their z^N coefficients would need cumulants of order
-N+1, which a spec of order N does not hold) and the two moment transforms
-at order N.  A spec of order >= N is exactly enough.
+N+1, which a spec of order N does not hold) and the moment transforms at
+order N.  A spec of order >= N is exactly enough.  The z^k coefficient of
+A or B first enters at z^(k+1), so those with k >= N are dropped.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, InternalError
-from .linearize import linearize, word_resolvent
+from .linearize import linearize
 from .ncpoly import parse_poly
-from .scalars import GQ_ONE, GaussianRational
+from .scalars import GQ_ONE
 from .series import Powers, SquareMatrix, TruncSeries, cauchy, geometric, settle
 from .cumulants import MomentSeq
 
 __all__ = [
     "EngineState",
-    "resolvent_series",
     "solve_fixed_point",
     "poly_distribution",
 ]
 
 
-def _coerce_matrix(mat):
-    if isinstance(mat, SquareMatrix):
-        return mat
-    rows = tuple(
-        tuple(
-            e if isinstance(e, GaussianRational) else GaussianRational(e)
-            for e in row
-        )
-        for row in mat
-    )
-    return SquareMatrix(rows)
-
-
 def _as_matrix_series(coeffs, order):
-    """Normalize A to a TruncSeries of SquareMatrix at the given order.
+    """A's z-coefficient stack as a matrix series at the given order.
 
-    Accepts a single matrix (constant in z, SquareMatrix or rows of
-    scalars), a sequence of matrices (coefficient of z^k at position k),
-    or a ready-made series.  Top coefficients beyond the order are
-    dropped only if they are zero.
+    coeffs lists SquareMatrix z-coefficients of one size, z^k at position
+    k, as Linearization.a_coeffs does; those past the order are dropped.
+    Returns the series and the matrix size.
     """
-    if isinstance(coeffs, SquareMatrix):
-        return TruncSeries.constant(coeffs, order), coeffs.n
-    if isinstance(coeffs, TruncSeries):
-        stack = coeffs.coeffs
-    else:
-        stack = tuple(coeffs)
-        if stack and not isinstance(stack[0], SquareMatrix):
-            first = tuple(stack[0])
-            if first and isinstance(first[0], (list, tuple)):
-                stack = tuple(_coerce_matrix(m) for m in stack)
-            else:
-                mat = _coerce_matrix(stack)
-                return TruncSeries.constant(mat, order), mat.n
-    if not stack:
-        raise DomainError("matrix coefficient stack is empty")
+    stack = () if isinstance(coeffs, SquareMatrix) else tuple(coeffs)
+    if not stack or not all(isinstance(mat, SquareMatrix) for mat in stack):
+        raise DomainError("A and B are nonempty stacks of SquareMatrix coefficients")
     n = stack[0].n
-    for mat in stack:
-        if not isinstance(mat, SquareMatrix) or mat.n != n:
-            raise DomainError("matrix coefficients must be square and same size")
-    for mat in stack[order + 1 :]:
-        if not mat.is_zero():
-            raise DomainError("matrix coefficients exceed the requested order")
+    if any(mat.n != n for mat in stack):
+        raise DomainError("matrix coefficients must be square and same size")
     zero = SquareMatrix.zeros(n)
     padded = stack[: order + 1] + (zero,) * (order + 1 - len(stack))
     return TruncSeries(padded), n
 
 
-def resolvent_series(a, b, order):
-    """(I - z (A(z) X + B(z) Y))^{-1} as a matrix series over C<X,Y>.
-
-    A and B take any form solve_fixed_point accepts.
-    """
-    a_s, n = _as_matrix_series(a, order)
-    b_s, nb = _as_matrix_series(b, order)
-    if nb != n:
-        raise DomainError("A and B must have the same size")
-    return word_resolvent(a_s.coeffs, b_s.coeffs, n, order)
-
-
 class EngineState:
-    """Solved fixed point: the six subordination blocks plus both MGFs.
+    """Solved fixed point: the pencil and the six subordination blocks.
 
     The blocks h_x, h_y, f_x, f_y, f_x_phi, f_y_phi share one truncation
-    order (N-1 for a target order N); m_phi and m_psi sit at order N.
-    Instances are immutable once built.
+    order (N-1 for a target order N); mgf builds a moment transform at
+    order N from them on each call.  Instances are immutable once built.
     """
 
     __slots__ = (
@@ -126,8 +86,6 @@ class EngineState:
         "f_y",
         "f_x_phi",
         "f_y_phi",
-        "m_phi",
-        "m_psi",
     )
 
     def __init__(self, **fields):
@@ -137,23 +95,18 @@ class EngineState:
     def __setattr__(self, name, value):
         raise AttributeError("EngineState is immutable")
 
-    def mgf(self, which="phi"):
+    def mgf(self, which):
+        """M(z) = (I - z A F_X - z B F_Y)^{-1} for state which."""
         if which == "phi":
-            return self.m_phi
-        if which == "psi":
-            return self.m_psi
-        raise DomainError("which must be 'phi' or 'psi'")
+            f_x, f_y = self.f_x_phi, self.f_y_phi
+        elif which == "psi":
+            f_x, f_y = self.f_x, self.f_y
+        else:
+            raise DomainError("which must be 'phi' or 'psi'")
+        return geometric(self.a * f_x + self.b * f_y, self.order)
 
-    def corner(self, u, v, which="phi"):
-        """Scalar series u^t M(z) v for coefficient vectors u, v."""
-        u = tuple(
-            e if isinstance(e, GaussianRational) else GaussianRational(e)
-            for e in u
-        )
-        v = tuple(
-            e if isinstance(e, GaussianRational) else GaussianRational(e)
-            for e in v
-        )
+    def corner(self, u, v, which):
+        """Scalar series u^t M(z) v for Gaussian-rational vectors u, v."""
         return self.mgf(which).map(lambda mat: mat.apply_bilinear(u, v))
 
 
@@ -172,11 +125,11 @@ def _sweep(spec, a_s, b_s, ident, blocks, t):
 def solve_fixed_point(spec, a, b, order):
     """Solve the subordination system for A X + B Y at the given order.
 
-    A and B may be constant matrices, stacks of z-coefficients, or matrix
-    series; they must be square and of equal size.  Needs spec.order >=
-    order.  Grows the psi blocks one coefficient at a time; a last sweep
-    at the full order must return them unchanged, or InternalError is
-    raised.
+    A and B are stacks of SquareMatrix z-coefficients of one size, as
+    Linearization.a_coeffs and b_coeffs.  Needs spec.order >= order.
+    Grows the psi blocks one coefficient at a time; a last sweep at the
+    full order must return them unchanged, or InternalError is raised.
+    Builds no moment transform: EngineState.mgf does, when read.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -239,12 +192,10 @@ def solve_fixed_point(spec, a, b, order):
         f_y=f_y,
         f_x_phi=f_x_phi,
         f_y_phi=f_y_phi,
-        m_phi=geometric(a_s * f_x_phi + b_s * f_y_phi, order),
-        m_psi=geometric(a_s * f_x + b_s * f_y, order),
     )
 
 
-def poly_distribution(spec, p, state="psi", order=None):
+def poly_distribution(spec, p, state, order):
     """Moments of a polynomial P(X, Y) in the requested state, exactly.
 
     Linearizes P to a matrix pencil, solves the fixed point at order
@@ -255,8 +206,6 @@ def poly_distribution(spec, p, state="psi", order=None):
     """
     if isinstance(p, str):
         p = parse_poly(p)
-    if order is None:
-        raise DomainError("poly_distribution needs an explicit order")
     if state not in ("phi", "psi"):
         raise DomainError("state must be 'phi' or 'psi'")
     return _poly_moments(spec, p, order, (state,))[0]

@@ -124,7 +124,8 @@ def _check_range(n, guard):
     limit = ENUMERATION_GUARD if guard is None else guard
     if n < 1 or n > limit:
         raise LimitError(
-            "enumeration size %d outside 1..%d (raise guard to override)"
+            "enumeration size %d outside 1..%d; library callers raise the "
+            "upper end with guard=, the command line has no override"
             % (n, limit)
         )
 

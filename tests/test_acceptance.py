@@ -30,8 +30,13 @@ from cfree.cumulants import (
     phi_moments_from_cfree,
 )
 from cfree.denoise import condexp_verify, l2_project
-from cfree.engine import poly_distribution, resolvent_series, solve_fixed_point
-from cfree.linearize import Linearization, geometric_corner, linearize
+from cfree.engine import poly_distribution, solve_fixed_point
+from cfree.linearize import (
+    Linearization,
+    geometric_corner,
+    linearize,
+    word_resolvent,
+)
 from cfree.multiplicative import (
     product_marginals,
     sigma_symbols,
@@ -197,7 +202,8 @@ def test_criterion_6_conditional_expectation_formulas():
     # three shapes of the same resolvent
     lin = linearize(parse_poly("x*y"))
     x = NCPolynomial.letter("x")
-    for a, b in (([[1]], [[1]]), (lin.a_coeffs, lin.b_coeffs)):
+    unit = (SquareMatrix.identity(1),)  # the pencil X + Y as a stack
+    for a, b in ((unit, unit), (lin.a_coeffs, lin.b_coeffs)):
         st = solve_fixed_point(spec, a, b, 6)
         primary = efree_resolvent(spec, a, b, 6)
         hy = st.h_y.map(lambda mat: mat.map(NCPolynomial.scalar))
@@ -212,7 +218,7 @@ def test_criterion_6_conditional_expectation_formulas():
         assert primary.agrees_with(third, st.h_y.order)
         # rqce of the resolvent, word by word, to z^5
         res = rqce_resolvent(spec, a, b, 5)
-        sym = resolvent_series(a, b, 5)
+        sym = word_resolvent(a, b, a[0].n, 5)
         n = res.coeff(0).n
         for k in range(6):
             for row in range(n):

@@ -333,6 +333,47 @@ def test_condexp_resolvent_mode(spec_files, capsys):
         ]
 
 
+def test_pencil_reaching_past_the_engine_order_still_answers(spec_files, capsys):
+    # a pencil's z^k coefficient first counts at z^(k+1): the completion
+    # edges of y in x^2 + y and x^3 + y carry z^1 and z^2, which an engine
+    # order at or below them drops instead of refusing the query
+    spec = spec_files["twostate"]
+    resolvent = ("condexp", "--spec", spec, "--resolvent", "--poly", "x^3 + y")
+    for argv, expected in (
+        (
+            ("moments", "--spec", spec, "--poly", "x^2 + y", "--order", "0"),
+            '{"moments":[]}\n',
+        ),
+        (
+            resolvent + ("--state", "psi", "--order", "1"),
+            '{"series":[[["","1"]],[]]}\n',
+        ),
+        (
+            resolvent + ("--state", "phi", "--order", "1"),
+            '{"series":[[["","1"]],[]]}\n',
+        ),
+        (
+            resolvent + ("--state", "psi", "--order", "2"),
+            '{"series":[[["","1"]],[],[]]}\n',
+        ),
+        (
+            (
+                "denoise", "--spec", spec, "--poly", "x^2 + y", "--target", "x",
+                "--degree", "1", "--weight", "1+x", "--order", "1",
+            ),
+            '{"coefficients":["0","0"],"rank":2,"residuals":["0","0"],'
+            '"normalization":"1","phi_moments":[],"psi_moments":[]}\n',
+        ),
+    ):
+        assert run(capsys, *argv) == (0, expected, ""), argv
+    # the answers at order 2 begin the order-3 series, the first to reach x^3
+    assert run(capsys, *resolvent, "--state", "psi", "--order", "3") == (
+        0,
+        '{"series":[[["","1"]],[],[],[["xxx","1"]]]}\n',
+        "",
+    )
+
+
 def test_condexp_usage_errors(spec_files, capsys):
     code, _, err = run(
         capsys,
@@ -385,7 +426,8 @@ def test_condexp_guard(spec_files, capsys):
         long_word,
     )
     assert code == 3
-    assert "guard" in err
+    # the message names the option and the library keyword
+    assert "--guard" in err and "guard=" in err
     # raising the guard trades the limit for an honest order error
     code, _, err = run(
         capsys,
@@ -548,6 +590,20 @@ def test_partitions_counts(spec_files, capsys):
         capsys, "partitions", "--enumerate", "colored", "--colors", "xyxy"
     )
     assert json.loads(out)["count"] == 3
+
+
+def test_partitions_past_the_enumeration_guard_exit_3(capsys):
+    # the command line has no option to raise the guard; the message says
+    # so and names the library keyword that does
+    for argv in (
+        ("--enumerate", "nc", "--n", "15"),
+        ("--enumerate", "colored", "--colors", "xy" * 8),
+    ):
+        code, out, err = run(capsys, "partitions", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("cfree: enumeration size 1")
+        assert "outside 1..14" in err and "guard=" in err
+        assert "no override" in err and err.count("\n") == 1
 
 
 def test_partitions_missing_size(spec_files, capsys):

@@ -21,9 +21,9 @@ from cfree.condexp import (
     rqce,
     rqce_resolvent,
 )
-from cfree.engine import resolvent_series, solve_fixed_point
+from cfree.engine import solve_fixed_point
 from cfree.errors import DomainError, LimitError
-from cfree.linearize import linearize
+from cfree.linearize import linearize, word_resolvent
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.scalars import GQ_ONE, GaussianRational
 from cfree.series import SquareMatrix, TruncSeries
@@ -305,6 +305,10 @@ def test_guard_and_letter_validation(spec):
     )
 
 
+# the pencil X + Y, constant in z, as a one-element stack
+UNIT = (SquareMatrix.identity(1),)
+
+
 def lift(series):
     return series.map(lambda mat: mat.map(NCPolynomial.scalar))
 
@@ -314,7 +318,7 @@ def test_three_resolvent_forms_agree(spec):
                               = H_Y (I - zAXH_Y)^{-1} to order 6."""
     order = 6
     lin = linearize(parse_poly("x*y"))
-    for a, b in (([[1]], [[1]]), (lin.a_coeffs, lin.b_coeffs)):
+    for a, b in ((UNIT, UNIT), (lin.a_coeffs, lin.b_coeffs)):
         st = solve_fixed_point(spec, a, b, order)
         primary = efree_resolvent(spec, a, b, order)
         x = NCPolynomial.letter("x")
@@ -333,9 +337,9 @@ def test_three_resolvent_forms_agree(spec):
 def test_efree_resolvent_matches_wordwise(spec):
     order = 5
     lin = linearize(parse_poly("x*y"))
-    for a, b in (([[1]], [[1]]), (lin.a_coeffs, lin.b_coeffs)):
+    for a, b in ((UNIT, UNIT), (lin.a_coeffs, lin.b_coeffs)):
         res = efree_resolvent(spec, a, b, order)
-        sym = resolvent_series(a, b, order)
+        sym = word_resolvent(a, b, a[0].n, order)
         n = res.coeff(0).n
         for k in range(order + 1):
             for i in range(n):
@@ -349,9 +353,9 @@ def test_efree_resolvent_matches_wordwise(spec):
 def test_rqce_resolvent_matches_wordwise(spec):
     order = 5
     lin = linearize(parse_poly("x*y"))
-    for a, b in (([[1]], [[1]]), (lin.a_coeffs, lin.b_coeffs)):
+    for a, b in ((UNIT, UNIT), (lin.a_coeffs, lin.b_coeffs)):
         res = rqce_resolvent(spec, a, b, order)
-        sym = resolvent_series(a, b, order)
+        sym = word_resolvent(a, b, a[0].n, order)
         n = res.coeff(0).n
         for k in range(order + 1):
             for i in range(n):
@@ -365,8 +369,8 @@ def test_rqce_resolvent_matches_wordwise(spec):
 def test_phi_of_resolvent_is_mixed_inverse(spec):
     """phi entrywise on E[resolvent] inverts I - zAF^phi_X - zBF_Y."""
     order = 6
-    st = solve_fixed_point(spec, [[1]], [[1]], order)
-    res = efree_resolvent(spec, [[1]], [[1]], order)
+    st = solve_fixed_point(spec, UNIT, UNIT, order)
+    res = efree_resolvent(spec, UNIT, UNIT, order)
     phi_side = res.map(
         lambda mat: mat.map(lambda p: spec.poly_moment("phi", p))
     )
@@ -380,6 +384,6 @@ def test_resolvents_collapse_when_states_agree():
     x = semicircle_moments(1, 6)
     y = atom_moments(((2, Fraction(1, 2)), (-1, Fraction(1, 2))), 6)
     merged = TwoStateSpec(6, x, y)
-    assert rqce_resolvent(merged, [[1]], [[1]], 6) == efree_resolvent(
-        merged, [[1]], [[1]], 6
+    assert rqce_resolvent(merged, UNIT, UNIT, 6) == efree_resolvent(
+        merged, UNIT, UNIT, 6
     )

@@ -11,21 +11,21 @@ from fractions import Fraction
 import pytest
 
 from cfree import engine, multiplicative
+from cfree.condexp import efree_resolvent
 from cfree.cumulants import boolean_from_moments, eta_series
 from cfree.engine import (
     _as_matrix_series,
     _sweep,
     poly_distribution,
-    resolvent_series,
     solve_fixed_point,
 )
 from cfree.errors import DomainError, InternalError
-from cfree.linearize import linearize
+from cfree.linearize import linearize, word_resolvent
 from cfree.multiplicative import _advance, mgf_product_phi, subordination_pair
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, gq
 from cfree.selfcheck import oracle_moments
-from cfree.series import SquareMatrix, TruncSeries, settle
+from cfree.series import SquareMatrix, TruncSeries, geometric, settle
 from cfree.twostate import (
     TwoStateSpec,
     atom_moments,
@@ -52,6 +52,13 @@ def sum_moment(spec, state, n):
     return total
 
 
+# 1x1 pencils constant in z, as one-element stacks: 1 (UNIT) and 0 (NIL);
+# E1 is their corner vector
+UNIT = (SquareMatrix.identity(1),)
+NIL = (SquareMatrix.zeros(1),)
+E1 = (GQ_ONE,)
+
+
 def rand_matrix(rng, n):
     pool = (GQ_ZERO, GQ_ONE, -GQ_ONE, GQ_I, gq(1, 1))
     return SquareMatrix(
@@ -60,7 +67,7 @@ def rand_matrix(rng, n):
 
 
 def test_resolvent_series_is_word_sum():
-    p = resolvent_series([[1]], [[1]], 4)
+    p = word_resolvent(UNIT, UNIT, 1, 4)
     for k in range(5):
         expected = NCPolynomial.zero()
         for letters in itertools.product("xy", repeat=k):
@@ -70,7 +77,7 @@ def test_resolvent_series_is_word_sum():
 
 def test_resolvent_series_matches_linearization_corner():
     lin = linearize(parse_poly("x*y + y*x"))
-    psi = resolvent_series(lin.a_coeffs, lin.b_coeffs, 6)
+    psi = word_resolvent(lin.a_coeffs, lin.b_coeffs, lin.n, 6)
     corner = lin.resolvent_corner(6)
     for k in range(7):
         assert psi.coeff(k).apply_bilinear(lin.u, lin.v) == corner.coeff(k)
@@ -78,9 +85,9 @@ def test_resolvent_series_matches_linearization_corner():
 
 def test_sum_matches_oracle_both_states():
     spec = std_spec(8)
-    st = solve_fixed_point(spec, [[1]], [[1]], 8)
+    st = solve_fixed_point(spec, UNIT, UNIT, 8)
     for state in ("psi", "phi"):
-        corner = st.corner((1,), (1,), state)
+        corner = st.corner(E1, E1, state)
         for n in range(9):
             assert corner.coeff(n) == sum_moment(spec, state, n)
 
@@ -88,9 +95,9 @@ def test_sum_matches_oracle_both_states():
 def test_sum_matches_oracle_random_spec():
     rng = random.Random(7)
     spec = random_spec(rng, 8)
-    st = solve_fixed_point(spec, [[1]], [[1]], 8)
+    st = solve_fixed_point(spec, UNIT, UNIT, 8)
     for state in ("psi", "phi"):
-        corner = st.corner((1,), (1,), state)
+        corner = st.corner(E1, E1, state)
         for n in range(9):
             assert corner.coeff(n) == sum_moment(spec, state, n)
 
@@ -98,9 +105,9 @@ def test_sum_matches_oracle_random_spec():
 def test_b_zero_degenerates_to_marginal():
     rng = random.Random(3)
     spec = random_spec(rng, 6)
-    st = solve_fixed_point(spec, [[1]], [[0]], 6)
+    st = solve_fixed_point(spec, UNIT, NIL, 6)
     for state in ("psi", "phi"):
-        corner = st.corner((1,), (1,), state)
+        corner = st.corner(E1, E1, state)
         marg = spec.marginal("x", state)
         for n in range(7):
             assert corner.coeff(n) == marg.moment(n)
@@ -113,10 +120,10 @@ def test_phi_equals_psi_collapses_f_blocks():
     x = semicircle_moments(1, 6)
     y = atom_moments(((2, Fraction(1, 2)), (0, Fraction(1, 2))), 6)
     spec = TwoStateSpec(6, x, y)  # phi defaults to psi
-    st = solve_fixed_point(spec, [[1]], [[1]], 6)
+    st = solve_fixed_point(spec, UNIT, UNIT, 6)
     assert st.f_x == st.f_x_phi
     assert st.f_y == st.f_y_phi
-    assert st.m_phi == st.m_psi
+    assert st.mgf("phi") == st.mgf("psi")
 
 
 def test_h_blocks_are_partial_block_functionals():
@@ -124,10 +131,10 @@ def test_h_blocks_are_partial_block_functionals():
     rng = random.Random(19)
     spec = random_spec(rng, 6)
     for n in (1, 2):
-        a = rand_matrix(rng, n)
-        b = rand_matrix(rng, n)
+        a = (rand_matrix(rng, n),)
+        b = (rand_matrix(rng, n),)
         st = solve_fixed_point(spec, a, b, 5)
-        psi = resolvent_series(a, b, st.h_x.order)
+        psi = word_resolvent(a, b, n, st.h_x.order)
         for k in range(st.h_x.order + 1):
             block = psi.coeff(k)
             for i in range(n):
@@ -146,10 +153,10 @@ def test_f_blocks_are_letterwise_functionals():
     rng = random.Random(23)
     spec = random_spec(rng, 6)
     n = 2
-    a = rand_matrix(rng, n)
-    b = rand_matrix(rng, n)
+    a = (rand_matrix(rng, n),)
+    b = (rand_matrix(rng, n),)
     st = solve_fixed_point(spec, a, b, 5)
-    psi = resolvent_series(a, b, st.f_x.order)
+    psi = word_resolvent(a, b, n, st.f_x.order)
     x = NCPolynomial.letter("x")
     y = NCPolynomial.letter("y")
     for k in range(st.f_x.order + 1):
@@ -181,11 +188,11 @@ def phi_resolvents(state):
 def test_phi_resolvents_are_partial_block_functionals():
     rng = random.Random(29)
     spec = random_spec(rng, 6)
-    a = rand_matrix(rng, 2)
-    b = rand_matrix(rng, 2)
+    a = (rand_matrix(rng, 2),)
+    b = (rand_matrix(rng, 2),)
     st = solve_fixed_point(spec, a, b, 5)
     hx, hy = phi_resolvents(st)
-    psi = resolvent_series(a, b, hx.order)
+    psi = word_resolvent(a, b, 2, hx.order)
     for k in range(hx.order + 1):
         for i in range(2):
             for j in range(2):
@@ -202,12 +209,12 @@ def test_eta_of_sum_is_shift_of_f_blocks():
     """1x1: the Boolean transform of A X + B Y is z(A F^st_X + B F^st_Y)."""
     rng = random.Random(31)
     spec = random_spec(rng, 8)
-    st = solve_fixed_point(spec, [[1]], [[1]], 8)
+    st = solve_fixed_point(spec, UNIT, UNIT, 8)
     for state, fx, fy in (
         ("psi", st.f_x, st.f_y),
         ("phi", st.f_x_phi, st.f_y_phi),
     ):
-        corner = st.corner((1,), (1,), state)
+        corner = st.corner(E1, E1, state)
         moments = tuple(corner.coeff(n) for n in range(1, 9))
         from cfree.cumulants import MomentSeq
 
@@ -260,14 +267,31 @@ def test_poly_distribution_all_five_acceptance_polys():
 
 def test_solve_is_deterministic_and_state_immutable():
     spec = std_spec(6)
-    st1 = solve_fixed_point(spec, [[1]], [[1]], 6)
-    st2 = solve_fixed_point(spec, [[1]], [[1]], 6)
-    assert st1.m_phi == st2.m_phi and st1.f_x == st2.f_x
+    st1 = solve_fixed_point(spec, UNIT, UNIT, 6)
+    st2 = solve_fixed_point(spec, UNIT, UNIT, 6)
+    assert st1.mgf("phi") == st2.mgf("phi") and st1.f_x == st2.f_x
     with pytest.raises(AttributeError):
         st1.order = 3
-    assert st1.mgf("psi") is st1.m_psi
+    assert st1.mgf("psi") == st2.mgf("psi")
     with pytest.raises(DomainError):
         st1.mgf("tau")
+
+
+def test_a_solve_builds_only_the_moment_transforms_read(monkeypatch):
+    built = []
+
+    def counted(s, order):
+        built.append(order)
+        return geometric(s, order)
+
+    monkeypatch.setattr(engine, "geometric", counted)
+    spec = std_spec(6)
+    lin = linearize(parse_poly("x*y + y*x"))
+    solve_fixed_point(spec, lin.a_coeffs, lin.b_coeffs, 6)
+    efree_resolvent(spec, lin.a_coeffs, lin.b_coeffs, 6)
+    assert built == []
+    poly_distribution(spec, "x*y + y*x", "psi", 3)
+    assert built == [6]
 
 
 def geometric_sweep(blocks, order):
@@ -326,8 +350,8 @@ def test_certificate_catches_one_corrupted_grown_coefficient(monkeypatch, block)
     # full-order sweep recomputes that coefficient from the lower ones.
     rng = random.Random(47)
     spec = random_spec(rng, 7)
-    a = rand_matrix(rng, 2)
-    b = rand_matrix(rng, 2)
+    a = (rand_matrix(rng, 2),)
+    b = (rand_matrix(rng, 2),)
     monkeypatch.setattr(engine, "settle", corrupting(settle, block, 3))
     with pytest.raises(InternalError, match="failed to stabilize after 8 sweeps"):
         solve_fixed_point(spec, a, b, 7)
@@ -367,7 +391,7 @@ def test_online_solve_equals_full_order_jacobi():
         rng = random.Random(seed)
         spec = random_spec(rng, 10)
         pencils = (
-            (rand_matrix(rng, 2), rand_matrix(rng, 2)),
+            ((rand_matrix(rng, 2),), (rand_matrix(rng, 2),)),
             (lin.a_coeffs, lin.b_coeffs),
         )
         for a, b in pencils:
@@ -397,13 +421,17 @@ def test_online_subordination_equals_iterated_advance():
 def test_dimension_mismatch_rejected():
     spec = std_spec(4)
     with pytest.raises(DomainError):
-        solve_fixed_point(spec, [[1]], [[1, 0], [0, 1]], 4)
+        solve_fixed_point(spec, UNIT, (SquareMatrix.identity(2),), 4)
+    # A and B are stacks of SquareMatrix z-coefficients, nothing else
+    for a in (SquareMatrix.identity(1), [[1]], ()):
+        with pytest.raises(DomainError, match="nonempty stacks of SquareMatrix"):
+            solve_fixed_point(spec, a, UNIT, 4)
 
 
 def test_order_beyond_spec_rejected():
     spec = std_spec(4)
     with pytest.raises(DomainError):
-        solve_fixed_point(spec, [[1]], [[1]], 5)
+        solve_fixed_point(spec, UNIT, UNIT, 5)
     with pytest.raises(DomainError):
         poly_distribution(spec, "x*y", "psi", 3)
 
@@ -417,11 +445,11 @@ def test_constant_term_rejected():
 def test_subordination_identity_1x1():
     """M^psi of the sum factors through H_Y: M(z) = H_Y(z) M_X(z H_Y(z))."""
     spec = std_spec(12)
-    st = solve_fixed_point(spec, [[1]], [[1]], 8)
+    st = solve_fixed_point(spec, UNIT, UNIT, 8)
     hy = st.h_y.map(lambda m: m.entry(0, 0))
     m_x = spec.marginal("x", "psi").series()
     rhs = hy * m_x.compose(hy.shift(1))
-    lhs = st.corner((1,), (1,), "psi")
+    lhs = st.corner(E1, E1, "psi")
     assert lhs.agrees_with(rhs, hy.order)
 
 
@@ -454,8 +482,8 @@ def test_solves_read_the_boolean_cumulants_only_to_their_own_order():
     # phi(x) = 2/3, phi(y) = 0, phi(x^2) = 4/3, phi(y^2) = 2
     assert dist.values == (gq(Fraction(2, 3)), gq(Fraction(10, 3)))
     assert set(held(big).values()) == {2}
-    st = solve_fixed_point(big, [[1]], [[1]], 0)
-    assert st.m_psi == solve_fixed_point(small, [[1]], [[1]], 0).m_psi
+    st = solve_fixed_point(big, UNIT, UNIT, 0)
+    assert st.mgf("psi") == solve_fixed_point(small, UNIT, UNIT, 0).mgf("psi")
     assert max(held(big).values()) == 2
     pair = subordination_pair(big, 3)
     assert pair == subordination_pair(small, 3)

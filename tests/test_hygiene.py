@@ -101,8 +101,6 @@ SLOW_REFERENCES = {
     "cross-check the engine's H blocks",
     "twostate.letterwise_boolean_poly": "the letterwise Boolean "
     "functionals that cross-check the engine's F blocks",
-    "engine.resolvent_series": "the word resolvent whose coefficientwise "
-    "condexp cross-checks efree_resolvent and rqce_resolvent",
     "series.TruncSeries.variable": "the series z, against which the "
     "tests check composition, reversion and subordination",
     "series.TruncSeries.agrees_with": "compares the solved subordination "

@@ -15,6 +15,10 @@ The series kernels: products, inverses and compositions of truncated
 series, scalar or 2x2-matrix valued and often zero, must equal naive
 double loops written here, and the geometric series (1 - z s)^{-1} must
 equal the general series inverse, also over noncommutative entries.
+
+The engine on pencils whose z-degree passes the order: the coefficients
+past it never reach the answer, so a solve at order N must equal a
+longer solve truncated to N, in every block and both moment transforms.
 """
 
 import random
@@ -29,7 +33,7 @@ from cfree.cumulants import (
     partition_weight,
     partition_weight_outer_inner,
 )
-from cfree.engine import _poly_moments
+from cfree.engine import _poly_moments, solve_fixed_point
 from cfree.errors import DomainError
 from cfree.ncpoly import NCPolynomial
 from cfree.partitions import enumerate_nc
@@ -266,3 +270,31 @@ def test_geometric_equals_the_inverse_of_one_minus_z_s(data):
     s = TruncSeries(data.draw(coefficient_lists(ring)))
     one = TruncSeries.constant(s.coeffs[0].one_like(), s.order)
     assert geometric(s, s.order) == (one - s.shift(1)).inverse()
+
+
+# -- pencil coefficients past the order ---------------------------------------
+
+BLOCKS = ("h_x", "h_y", "f_x", "f_y", "f_x_phi", "f_y_phi")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    order=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_solve_drops_pencil_coefficients_past_its_order(data, order, seed):
+    # A's z^k coefficient first enters at z^(k+1); the stacks reach past
+    # the order with a nonzero top, and the longer solve keeps them all
+    degree = data.draw(st.integers(min_value=order + 1, max_value=order + 3))
+    stacks = st.lists(matrices, min_size=degree + 1, max_size=degree + 1)
+    a, b = tuple(data.draw(stacks)), tuple(data.draw(stacks))
+    assume(not (a[-1].is_zero() and b[-1].is_zero()))
+    spec = random_spec(random.Random(seed), degree + 1)
+    short = solve_fixed_point(spec, a, b, order)
+    full = solve_fixed_point(spec, a, b, degree + 1)
+    sub = max(order - 1, 0)
+    for name in BLOCKS:
+        assert getattr(short, name) == getattr(full, name).truncated(sub), name
+    for state in ("phi", "psi"):
+        assert short.mgf(state) == full.mgf(state).truncated(order), state
