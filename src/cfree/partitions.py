@@ -69,9 +69,6 @@ class SetPartition:
     def same_block(self, p, q):
         return self.block_of(p) is self.block_of(q)
 
-    def num_blocks(self):
-        return len(self.blocks)
-
     def is_noncrossing(self):
         index = self.block_index()
         stack = []

@@ -18,6 +18,14 @@ gaps (independent, fully nested) and a free tail.  The phi version is the
 same chain sum with the outer block weighted by the c-free cumulant and
 the tail recursed under phi, since everything inside a gap is nested and
 keeps psi weights.  Tests replay literal enumeration against this.
+
+The recursion runs in Gaussian integers.  Cumulants of order k are
+integer polynomials of weight k in the moments, so with an integer D per
+letter making every D^k m_k (either state) a Gaussian integer, D^k r_k and
+D_x^#x D_y^#y psi(w) are ones too: a chain, its gaps and its tail share
+out the word's letters, so the recursion holds term by term on these
+scaled values.  The memos keep them as (re, im) ints; `moment` divides
+once per read and returns the exact Gaussian rational.
 """
 
 from __future__ import annotations
@@ -30,9 +38,7 @@ from .errors import DomainError, LimitError, ParseError
 from .ncpoly import ALPHABET, MAX_WORD, block_factorize, check_word
 from .partitions import (
     ENUMERATION_GUARD,
-    enumerate_nc,
     enumerate_nc_colored,
-    is_ll,
     is_vnrp,
     outer_inner,
 )
@@ -50,8 +56,8 @@ class TwoStateSpec:
         "_psi",
         "_phi",
         "_tables",
-        "_free",
-        "_cfree",
+        "_scale",
+        "_scaled",
         "_psi_memo",
         "_phi_memo",
         "_chain_memo",
@@ -78,11 +84,14 @@ class TwoStateSpec:
         object.__setattr__(self, "_psi", psi)
         object.__setattr__(self, "_phi", phi)
         object.__setattr__(self, "_tables", tables)
-        # the tables' own lists, which grow in place as words need them
-        object.__setattr__(self, "_free", {ch: t.free for ch, t in tables.items()})
-        object.__setattr__(self, "_cfree", {ch: t.cfree for ch, t in tables.items()})
-        object.__setattr__(self, "_psi_memo", {"": GQ_ONE})
-        object.__setattr__(self, "_phi_memo", {"": GQ_ONE})
+        scale = {ch: _letter_scale(psi[ch].values, phi[ch].values) for ch in ALPHABET}
+        object.__setattr__(self, "_scale", scale)
+        # D^k times the k-th free (psi) or c-free (phi) cumulant, as int
+        # pairs, grown beside the tables' lists as words need them
+        scaled = {state: {ch: [] for ch in ALPHABET} for state in STATES}
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_psi_memo", {"": (1, 0)})
+        object.__setattr__(self, "_phi_memo", {"": (1, 0)})
         object.__setattr__(self, "_chain_memo", {})
 
     def __setattr__(self, name, value):
@@ -123,55 +132,59 @@ class TwoStateSpec:
     def _chains(self, word):
         """For each chain end: (tail start, chain sums indexed by length).
 
-        chain[t][k-1] sums prod of gap psi-moments over all chains of k
-        positions of letter word[0] starting at 0 and ending at the t-th
-        occurrence.
+        chain[t][k-1] sums prod of scaled gap psi-moments over all chains
+        of k positions of letter word[0] starting at 0 and ending at the
+        t-th occurrence.
         """
         hit = self._chain_memo.get(word)
         if hit is not None:
             return hit
         letter = word[0]
         positions = [j for j, ch in enumerate(word) if ch == letter]
+        free = self._scaled["psi"]
         rows = []
         for t, j in enumerate(positions):
-            row = [GQ_ONE if j == 0 else GQ_ZERO]
+            row = [(1, 0) if j == 0 else (0, 0)]
             for k in range(2, t + 2):
-                acc = GQ_ZERO
+                re = im = 0
                 for s in range(k - 2, t):
-                    prev = rows[s][k - 2]
-                    if prev.is_zero():
-                        continue
-                    gap = self._word_moment(
-                        word[positions[s] + 1 : j], self._free, self._psi_memo
-                    )
-                    acc = acc + prev * gap
-                row.append(acc)
+                    p_re, p_im = rows[s][k - 2]
+                    if p_re or p_im:
+                        g_re, g_im = self._word_moment(
+                            word[positions[s] + 1 : j], free, self._psi_memo
+                        )
+                        re += p_re * g_re - p_im * g_im
+                        im += p_re * g_im + p_im * g_re
+                row.append((re, im))
             rows.append(row)
         result = [(j + 1, rows[t]) for t, j in enumerate(positions)]
         self._chain_memo[word] = result
         return result
 
     def _word_moment(self, word, cumulants, memo):
-        """Chain sum of the word with the outer block weighted by cumulants.
+        """Scaled chain sum of the word, the outer block weighted by cumulants.
 
-        (self._free, self._psi_memo) gives psi(word) and (self._cfree,
-        self._phi_memo) gives phi(word); gaps always recurse under psi.
-        The cumulant lists must hold the word's letter counts.
+        (self._scaled[state], memo of the state) gives the state's moment
+        times D_x^#x D_y^#y; gaps always recurse under psi.  The scaled
+        cumulant lists must hold the word's letter counts.
         """
         value = memo.get(word)
         if value is not None:
             return value
         r = cumulants[word[0]]
-        total = GQ_ZERO
+        re = im = 0
         for tail_start, chain in self._chains(word):
-            tail = self._word_moment(word[tail_start:], cumulants, memo)
-            if tail.is_zero():
+            t_re, t_im = self._word_moment(word[tail_start:], cumulants, memo)
+            if not (t_re or t_im):
                 continue
-            for k, weight in enumerate(chain):
-                if not weight.is_zero():
-                    total = total + weight * r[k] * tail
-        memo[word] = total
-        return total
+            w_re = w_im = 0
+            for (c_re, c_im), (k_re, k_im) in zip(chain, r):
+                w_re += c_re * k_re - c_im * k_im
+                w_im += c_re * k_im + c_im * k_re
+            re += w_re * t_re - w_im * t_im
+            im += w_re * t_im + w_im * t_re
+        memo[word] = value = (re, im)
+        return value
 
     def moment(self, state, word, guard=None):
         if state not in STATES:
@@ -187,19 +200,20 @@ class TwoStateSpec:
             raise LimitError(
                 "word length %d exceeds guard %d" % (len(word), limit)
             )
-        if state == "psi":
-            cumulants, memo = self._free, self._psi_memo
-        else:
-            cumulants, memo = self._cfree, self._phi_memo
+        memo = self._psi_memo if state == "psi" else self._phi_memo
         value = memo.get(word)
-        if value is None:
-            for letter, table in self._tables.items():
-                count = word.count(letter)
-                table.frees(count)
+        scaled = self._scaled
+        den = 1
+        for letter, table in self._tables.items():
+            count, scale = word.count(letter), self._scale[letter]
+            den *= scale**count
+            if value is None:
+                _grow_scaled(scaled["psi"][letter], table.frees(count), scale)
                 if state == "phi":
-                    table.cfrees(count)
-            value = self._word_moment(word, cumulants, memo)
-        return value
+                    _grow_scaled(scaled["phi"][letter], table.cfrees(count), scale)
+        if value is None:
+            value = self._word_moment(word, scaled[state], memo)
+        return GaussianRational(Fraction(value[0], den), Fraction(value[1], den))
 
     def poly_moment(self, state, poly, guard=None):
         """Linear extension of the word moment to polynomials."""
@@ -207,6 +221,26 @@ class TwoStateSpec:
         for word, coeff in poly.terms.items():
             total = total + coeff * self.moment(state, word, guard)
         return total
+
+
+def _letter_scale(psi, phi):
+    """An int D with every D^k m_k (k-th moments) a Gaussian integer.
+
+    Each denominator grows D to D den / gcd(den, D^k): for denominators
+    c q^k that stays at c q, where their lcm would grow like q^N.
+    """
+    scale = 1
+    for k, pair in enumerate(zip(psi, phi), 1):
+        for den in (part.denominator for m in pair for part in (m.re, m.im)):
+            scale *= den // math.gcd(den, pow(scale, k, den))
+    return scale
+
+
+def _grow_scaled(scaled, cumulants, scale):
+    """Extend scaled to the cumulants' length with D^k c_k as (re, im) ints."""
+    for k in range(len(scaled) + 1, len(cumulants) + 1):
+        c = cumulants[k - 1] * scale**k
+        scaled.append((c.re.numerator, c.im.numerator))
 
 
 # ---------------------------------------------------------------------------
@@ -230,63 +264,6 @@ def multilinear_boolean(spec, state, args, guard=None):
             value = value - prefix[j - 1] * suffix
         prefix.append(value)
     return prefix[n - 1]
-
-
-def _multi_free(spec, args, memo):
-    hit = memo.get(args)
-    if hit is not None:
-        return hit
-    value = spec.moment("psi", "".join(args))
-    for p in enumerate_nc(len(args)):
-        if p.num_blocks() == 1:
-            continue
-        term = GQ_ONE
-        for block in p.blocks:
-            term = term * _multi_free(
-                spec, tuple(args[i - 1] for i in block), memo
-            )
-            if term.is_zero():
-                break
-        value = value - term
-    memo[args] = value
-    return value
-
-
-def multilinear_free(spec, args):
-    """r_n(a_1, ..., a_n): top coefficient of the noncrossing moment sum."""
-    if not args:
-        raise DomainError("free cumulant of no arguments")
-    return _multi_free(spec, tuple(args), {})
-
-
-def _multi_cfree(spec, args, free_memo, cfree_memo):
-    hit = cfree_memo.get(args)
-    if hit is not None:
-        return hit
-    value = spec.moment("phi", "".join(args))
-    for p in enumerate_nc(len(args)):
-        if p.num_blocks() == 1:
-            continue
-        outer, inner = outer_inner(p)
-        term = GQ_ONE
-        for block in outer:
-            term = term * _multi_cfree(
-                spec, tuple(args[i - 1] for i in block), free_memo, cfree_memo
-            )
-        for block in inner:
-            term = term * _multi_free(
-                spec, tuple(args[i - 1] for i in block), free_memo
-            )
-        value = value - term
-    cfree_memo[args] = value
-    return value
-
-
-def multilinear_cfree(spec, args):
-    """r^{phi,psi}_n(a_1, ..., a_n): outer blocks c-free, inner blocks free."""
-    if not args:
-        raise DomainError("c-free cumulant of no arguments")
-    return _multi_cfree(spec, tuple(args), {}, {})
 
 
 def block_boolean(spec, state, word, guard=None):
@@ -365,33 +342,6 @@ def nested_two_state_boolean(spec, p, args):
             spec, "psi", [args[i - 1] for i in block]
         )
     return value
-
-
-def nested_two_state_refinement(spec, p, args):
-    """nested_two_state_boolean as the sum over the ll-refinements of p."""
-    if len(args) != p.n:
-        raise DomainError("argument count differs from ground set")
-    free_memo = {}
-    cfree_memo = {}
-    total = GQ_ZERO
-    for rho in enumerate_nc(p.n):
-        if not is_ll(rho, p):
-            continue
-        outer, inner = outer_inner(rho)
-        term = GQ_ONE
-        for block in outer:
-            term = term * _multi_cfree(
-                spec,
-                tuple(args[i - 1] for i in block),
-                free_memo,
-                cfree_memo,
-            )
-        for block in inner:
-            term = term * _multi_free(
-                spec, tuple(args[i - 1] for i in block), free_memo
-            )
-        total = total + term
-    return total
 
 
 def vnrp_boolean_phi(spec, args, colors):

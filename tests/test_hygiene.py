@@ -87,16 +87,10 @@ SLOW_REFERENCES = {
     "identity that cross-checks block_boolean against letterwise cumulants",
     "cumulants.boolean_products_join": "the same identity by the "
     "interval-lattice join condition, against boolean_products_recursive",
-    "twostate.nested_two_state_refinement": "the ll-refinement sum that "
-    "cross-checks nested_two_state_boolean, the vnrp summand",
     "cumulants.partition_weight": "the free-cumulant partition sum that "
     "cross-checks free_from_moments and moments_from_free",
     "cumulants.partition_weight_outer_inner": "the outer/inner partition "
     "sum that cross-checks cfree_from_two_moments",
-    "twostate.multilinear_free": "the Moebius recursion that "
-    "cross-checks TwoStateSpec.free_cumulants",
-    "twostate.multilinear_cfree": "the Moebius recursion that "
-    "cross-checks TwoStateSpec.cfree_cumulants",
     "twostate.block_boolean_poly": "the block Boolean functionals that "
     "cross-check the engine's H blocks",
     "twostate.letterwise_boolean_poly": "the letterwise Boolean "

@@ -54,7 +54,7 @@ def all_partitions(n):
 
 def test_validation():
     p = part(4, (1, 4), (2, 3))
-    assert p.num_blocks() == 2
+    assert len(p.blocks) == 2
     assert p.block_of(3) == (2, 3)
     assert p.same_block(1, 4)
     with pytest.raises(DomainError):

@@ -9,7 +9,10 @@ equal the oracle's word sums.
 The cumulant tables, which grow each sequence only to the order read:
 their free and c-free cumulants must give back the moments as partition
 sums, reads in any order must give the values of one full-order read,
-and the oracle must not see how far a spec's tables were grown.
+and the oracle must not see how far a spec's tables were grown.  On
+specs with imaginary parts and prime-power denominators, which the
+oracle scales to Gaussian integers, its word moments must equal literal
+colored noncrossing partition sums of free and c-free cumulants.
 
 The series kernels: products, inverses and compositions of truncated
 series, scalar or 2x2-matrix valued and often zero, must equal naive
@@ -30,17 +33,18 @@ from hypothesis import strategies as st
 from cfree.cumulants import (
     CumulantSeq,
     CumulantTable,
+    MomentSeq,
     partition_weight,
     partition_weight_outer_inner,
 )
 from cfree.engine import _poly_moments, solve_fixed_point
 from cfree.errors import DomainError
 from cfree.ncpoly import NCPolynomial
-from cfree.partitions import enumerate_nc
+from cfree.partitions import enumerate_nc, enumerate_nc_colored, outer_inner
 from cfree.scalars import GaussianRational
 from cfree.selfcheck import oracle_moments
 from cfree.series import SquareMatrix, TruncSeries, geometric
-from cfree.twostate import random_spec
+from cfree.twostate import TwoStateSpec, random_spec
 
 COEFFS = (
     GaussianRational(1),
@@ -154,6 +158,57 @@ def test_oracle_on_a_lazily_grown_spec_equals_one_read_to_full_order(seed, reads
         eager.cfree_cumulants(ch)
     for state, word in reads:
         assert lazy.moment(state, word) == eager.moment(state, word)
+
+
+# Gaussian rationals over prime-power denominators: the oracle scales each
+# letter's moments to Gaussian integers, and must divide back exactly
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+denominators = st.builds(pow, st.sampled_from(PRIMES), st.integers(0, 4))
+parts = st.builds(Fraction, st.integers(-20, 20), denominators)
+signs = st.sampled_from((1, -1))
+nonzero_parts = st.builds(
+    lambda n, sign, d: Fraction(sign * n, d), st.integers(1, 20), signs, denominators
+)
+complex_moments = st.lists(
+    st.builds(GaussianRational, parts, nonzero_parts), min_size=8, max_size=8
+)
+
+
+def partition_sum(spec, state, word):
+    """The word moment as a literal colored noncrossing partition sum."""
+    free = {ch: spec.free_cumulants(ch).values for ch in "xy"}
+    cfree = {ch: spec.cfree_cumulants(ch).values for ch in "xy"}
+    outer_kind = free if state == "psi" else cfree
+    total = ZERO
+    for p in enumerate_nc_colored(word):
+        outer, inner = outer_inner(p)
+        term = GaussianRational(1)
+        for kind, blocks in ((outer_kind, outer), (free, inner)):
+            for block in blocks:
+                term = term * kind[word[block[0] - 1]][len(block) - 1]
+        total = total + term
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    moments=st.tuples(*[complex_moments] * 4),
+    words=st.lists(
+        st.text(alphabet="xy", min_size=1, max_size=8), min_size=1, max_size=4
+    ),
+)
+def test_oracle_equals_the_partition_sum_on_complex_prime_power_specs(moments, words):
+    x_psi, y_psi, x_phi, y_phi = moments
+    spec = TwoStateSpec(
+        8,
+        MomentSeq(x_psi, "psi"),
+        MomentSeq(y_psi, "psi"),
+        MomentSeq(x_phi, "phi"),
+        MomentSeq(y_phi, "phi"),
+    )
+    for word in words:
+        for state in ("psi", "phi"):
+            assert spec.moment(state, word) == partition_sum(spec, state, word)
 
 
 fractions = st.fractions(max_denominator=10**6)

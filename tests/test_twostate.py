@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cfree.ncpoly import NCPolynomial, block_factorize, parse_poly
 from cfree.partitions import (
     SetPartition,
     closure_check,
+    enumerate_nc,
     enumerate_nc_colored,
     is_ll,
     outer_inner,
@@ -25,10 +27,7 @@ from cfree.twostate import (
     letterwise_boolean,
     letterwise_boolean_poly,
     multilinear_boolean,
-    multilinear_cfree,
-    multilinear_free,
     nested_two_state_boolean,
-    nested_two_state_refinement,
     partial_block_boolean,
     partial_letterwise_boolean,
     point_mass_moments,
@@ -83,6 +82,96 @@ def brute_phi(spec, word):
             letter = word[block[0] - 1]
             value = value * spec.free_cumulants(letter).value(len(block))
         total = total + value
+    return total
+
+
+# -- Moebius recursions: multilinear free and c-free cumulants of words ------
+#
+# The independent, slow definitions that the spec's cumulant tables and the
+# Boolean nesting are checked against; only these tests read them.
+
+
+def _multi_free(spec, args, memo):
+    hit = memo.get(args)
+    if hit is not None:
+        return hit
+    value = spec.moment("psi", "".join(args))
+    for p in enumerate_nc(len(args)):
+        if len(p.blocks) == 1:
+            continue
+        term = GQ_ONE
+        for block in p.blocks:
+            term = term * _multi_free(
+                spec, tuple(args[i - 1] for i in block), memo
+            )
+            if term.is_zero():
+                break
+        value = value - term
+    memo[args] = value
+    return value
+
+
+def multilinear_free(spec, args):
+    """r_n(a_1, ..., a_n): top coefficient of the noncrossing moment sum."""
+    if not args:
+        raise DomainError("free cumulant of no arguments")
+    return _multi_free(spec, tuple(args), {})
+
+
+def _multi_cfree(spec, args, free_memo, cfree_memo):
+    hit = cfree_memo.get(args)
+    if hit is not None:
+        return hit
+    value = spec.moment("phi", "".join(args))
+    for p in enumerate_nc(len(args)):
+        if len(p.blocks) == 1:
+            continue
+        outer, inner = outer_inner(p)
+        term = GQ_ONE
+        for block in outer:
+            term = term * _multi_cfree(
+                spec, tuple(args[i - 1] for i in block), free_memo, cfree_memo
+            )
+        for block in inner:
+            term = term * _multi_free(
+                spec, tuple(args[i - 1] for i in block), free_memo
+            )
+        value = value - term
+    cfree_memo[args] = value
+    return value
+
+
+def multilinear_cfree(spec, args):
+    """r^{phi,psi}_n(a_1, ..., a_n): outer blocks c-free, inner blocks free."""
+    if not args:
+        raise DomainError("c-free cumulant of no arguments")
+    return _multi_cfree(spec, tuple(args), {}, {})
+
+
+def nested_two_state_refinement(spec, p, args):
+    """nested_two_state_boolean as the sum over the ll-refinements of p."""
+    if len(args) != p.n:
+        raise DomainError("argument count differs from ground set")
+    free_memo = {}
+    cfree_memo = {}
+    total = GQ_ZERO
+    for rho in enumerate_nc(p.n):
+        if not is_ll(rho, p):
+            continue
+        outer, inner = outer_inner(rho)
+        term = GQ_ONE
+        for block in outer:
+            term = term * _multi_cfree(
+                spec,
+                tuple(args[i - 1] for i in block),
+                free_memo,
+                cfree_memo,
+            )
+        for block in inner:
+            term = term * _multi_free(
+                spec, tuple(args[i - 1] for i in block), free_memo
+            )
+        total = total + term
     return total
 
 
@@ -163,6 +252,33 @@ def test_empty_word():
     spec = semicircle_bernoulli(2)
     assert spec.moment("psi", "") == GQ_ONE
     assert spec.moment("phi", "") == GQ_ONE
+
+
+def test_geometric_denominators_keep_the_scale_small():
+    # moments with denominators c q^k up to k = 400: the oracle scales x by
+    # 210 and y by 20, where the lcm of the denominators would have
+    # hundreds of digits; the values are pinned exactly
+    def atoms(pairs, state="psi"):
+        pairs = [(gq(Fraction(v)), gq(Fraction(w))) for v, w in pairs]
+        return atom_moments(pairs, 400, state)
+
+    start = time.perf_counter()
+    x_psi = atoms((("1/3", "1/7"), ("2/5", "6/7")))
+    x_phi = atoms((("1/2", "1/3"), ("3/7", "2/3")), "phi")
+    y_psi = atoms((("-1/2", "1/5"), ("5/4", "4/5")))
+    spec = TwoStateSpec(400, x_psi, y_psi, x_phi)
+    pinned = {
+        ("psi", "xyxy"): "7822/39375",
+        ("phi", "xyxy"): "223357/882000",
+        ("psi", "xxyyxy"): "41549/450000",
+        ("phi", "xxyyxy"): "1149839/8232000",
+        ("psi", "xyyxxyxy"): "26327737/567000000",
+        ("phi", "xyyxxyxy"): "674386183/8643600000",
+    }
+    for (state, word), value in pinned.items():
+        assert spec.moment(state, word) == gq(Fraction(value))
+    assert time.perf_counter() - start < 1.0
+    assert spec._scale == {"x": 210, "y": 20}
 
 
 # -- the oracle against literal enumeration -----------------------------------
