@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import DomainError, LimitError
 from .ncpoly import NCPolynomial
 from .scalars import GQ_ONE, GQ_ZERO
-from .series import SquareMatrix, TruncSeries, geometric
+from .series import SquareMatrix, TruncSeries
 
 MAX_PENCIL = 64  # states; the engine costs ~n^3 and n = 63 takes over a minute
 
@@ -51,25 +51,47 @@ class Linearization:
         return series.map(lambda mat: mat.apply_bilinear(self.u, self.v))
 
     def resolvent_corner(self, order):
-        """u^t (I - zL)^{-1} v as a polynomial-coefficient series."""
-        return self.corner(
-            word_resolvent(self.a_coeffs, self.b_coeffs, self.n, order)
-        )
+        """u^t (I - zL)^{-1} v as a polynomial-coefficient series.
+
+        Reads the rows r_t = u^t [z^t] (I - zL)^{-1} by r_0 = u^t and
+        r_t = sum_{j+k=t-1} r_j L_k, with L_k = A_k X + B_k Y: n^2
+        polynomial products a step, where the whole matrix series needs
+        n^3.  Each row is kept with x and with y appended to its entries.
+        """
+        pencil = (("x", self.a_coeffs), ("y", self.b_coeffs))
+        lifted = []
+        out = []
+        for t in range(order + 1):
+            if t == 0:
+                row = [NCPolynomial.scalar(c) for c in self.u]
+            else:
+                row = [NCPolynomial.zero()] * self.n
+            for k in range(t):
+                for (_, coeffs), step in zip(pencil, lifted[t - 1 - k]):
+                    if k < len(coeffs):
+                        for r, weights in zip(step, coeffs[k].rows):
+                            for j, c in enumerate(weights):
+                                row[j] = _add_scaled(row[j], c, r)
+            lifted.append(
+                tuple([_append(r, letter) for r in row] for letter, _ in pencil)
+            )
+            acc = NCPolynomial.zero()
+            for r, c in zip(row, self.v):
+                acc = _add_scaled(acc, c, r)
+            out.append(acc)
+        return TruncSeries(out)
 
 
-def word_resolvent(a_coeffs, b_coeffs, n, order):
-    """(I - zL)^{-1} for L(z) = A(z)X + B(z)Y, with polynomial entries.
+def _append(poly, letter):
+    """poly * letter, without multiplying any coefficient by one."""
+    return NCPolynomial({w + letter: c for w, c in poly.terms.items()})
 
-    a_coeffs and b_coeffs list the n x n scalar z-coefficients of A and
-    B; missing ones count as zero and those past the order are dropped.
-    The z^k coefficient collects the words of total z-weight k.
-    """
-    lifted = [SquareMatrix.zeros(n, NCPolynomial.zero())] * (order + 1)
-    for letter, stack in (("x", a_coeffs), ("y", b_coeffs)):
-        var = NCPolynomial.letter(letter)
-        for k, mat in enumerate(stack[: order + 1]):
-            lifted[k] = lifted[k] + mat.map(lambda c: c * var)
-    return geometric(TruncSeries(lifted), order)
+
+def _add_scaled(acc, c, r):
+    """acc + c r for a scalar c, multiplying only when c is not 0 or 1."""
+    if c.is_zero() or r.is_zero():
+        return acc
+    return acc + (r if c == GQ_ONE else c * r)
 
 
 def linearize(p):

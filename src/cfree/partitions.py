@@ -3,8 +3,8 @@
 Partitions are immutable: blocks are tuples of increasing integers, sorted
 by minimum.  Colorings are plain sequences of hashable labels, one per
 point; a partition is compatible with a coloring when every block is
-monochromatic.  Enumeration is guarded (Catalan growth) but the guard can
-be raised per call.
+monochromatic.  Enumeration builds only the partitions it returns and is
+guarded (Catalan growth), but the guard can be raised per call.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class SetPartition:
         raise AttributeError("SetPartition is immutable")
 
     @classmethod
-    def discrete(cls, n):
-        return cls(n, [(i,) for i in range(1, n + 1)])
-
-    @classmethod
     def full(cls, n):
         return cls(n, [tuple(range(1, n + 1))])
 
@@ -69,26 +65,8 @@ class SetPartition:
     def same_block(self, p, q):
         return self.block_of(p) is self.block_of(q)
 
-    def is_noncrossing(self):
-        index = self.block_index()
-        stack = []
-        remaining = {k: len(b) for k, b in enumerate(self.blocks)}
-        for p in range(1, self.n + 1):
-            k = index[p]
-            if remaining[k] == len(self.blocks[k]):
-                stack.append(k)
-            elif not stack or stack[-1] != k:
-                return False
-            remaining[k] -= 1
-            if remaining[k] == 0:
-                stack.pop()
-        return True
-
     def is_interval(self):
         return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
-
-    def is_irreducible(self):
-        return self.same_block(1, self.n)
 
     def leq(self, other):
         """Refinement: every block of self lies inside a block of other."""
@@ -127,44 +105,57 @@ def _check_range(n, guard):
         )
 
 
-def _nc_blocks(points):
-    """All noncrossing partitions of an increasing tuple, as block lists."""
+def _nc_blocks(points, colors=None, closed=False):
+    """All noncrossing partitions of an increasing tuple, as block lists.
+
+    With colors (one label per point of the whole ground set) only the
+    compatible ones; with closed, only those whose first block also holds
+    the last point.
+    """
     if not points:
         yield []
         return
-    for block, regions in _first_block_splits(points):
-        for parts in itertools.product(*map(_nc_list, regions)):
+    for block, regions in _first_block_splits(points, colors):
+        if closed and regions[-1]:
+            continue
+        lists = [list(_nc_blocks(region, colors)) for region in regions]
+        for parts in itertools.product(*lists):
             out = [block]
             for part in parts:
                 out.extend(part)
             yield out
 
 
-def _first_block_splits(points):
+def _first_block_splits(points, colors):
     """Choices of the block containing points[0], with enclosed regions.
 
-    The block is built left to right; each extension isolates the skipped
-    points as a region, and closing the block frees the tail.
+    The block is built left to right from points of its colour; each
+    extension isolates the skipped points as a region, and closing the
+    block frees the tail (the last region, empty when the block holds
+    points[-1]).
     """
+    color = None if colors is None else colors[points[0] - 1]
     stack = [((points[0],), (), 1)]
     while stack:
         block, regions, start = stack.pop()
         yield block, regions + (points[start:],)
         for k in range(len(points) - 1, start - 1, -1):
-            stack.append(
-                (block + (points[k],), regions + (points[start:k],), k + 1)
-            )
+            if color is None or colors[points[k] - 1] == color:
+                stack.append(
+                    (block + (points[k],), regions + (points[start:k],), k + 1)
+                )
 
 
-def _nc_list(points):
-    return list(_nc_blocks(points))
+def _enumerate(n, guard, colors=None, closed=False):
+    """The guarded list behind every noncrossing enumeration below."""
+    _check_range(n, guard)
+    points = tuple(range(1, n + 1))
+    return [SetPartition(n, b) for b in _nc_blocks(points, colors, closed)]
 
 
 def enumerate_nc(n, guard=None):
     """All noncrossing partitions of {1..n} in a fixed deterministic order."""
-    _check_range(n, guard)
-    points = tuple(range(1, n + 1))
-    return [SetPartition(n, blocks) for blocks in _nc_blocks(points)]
+    return _enumerate(n, guard)
 
 
 def enumerate_interval(n, guard=None):
@@ -188,7 +179,7 @@ def enumerate_interval(n, guard=None):
 
 def enumerate_irreducible(n, guard=None):
     """Noncrossing partitions with 1 and n in the same block."""
-    return [p for p in enumerate_nc(n, guard) if p.is_irreducible()]
+    return _enumerate(n, guard, closed=True)
 
 
 def is_compatible(p, colors):
@@ -198,10 +189,9 @@ def is_compatible(p, colors):
 
 
 def enumerate_nc_colored(colors, guard=None):
-    """NC partitions compatible with the coloring (every block one colour)."""
-    return [
-        p for p in enumerate_nc(len(colors), guard) if is_compatible(p, colors)
-    ]
+    """NC partitions compatible with the coloring (every block one colour),
+    in the order of enumerate_nc."""
+    return _enumerate(len(colors), guard, colors)
 
 
 def nesting_parents(p):
@@ -227,14 +217,6 @@ def outer_inner(p):
     outer = tuple(b for b in p.blocks if parents[b] is None)
     inner = tuple(b for b in p.blocks if parents[b] is not None)
     return outer, inner
-
-
-def interval_closure(p):
-    """Smallest interval partition above p: convex hulls of outer blocks."""
-    outer, _ = outer_inner(p)
-    return SetPartition(
-        p.n, [tuple(range(b[0], b[-1] + 1)) for b in outer]
-    )
 
 
 def is_ll(p, rho):
@@ -288,41 +270,3 @@ def vnrp_closure(sigma, colors):
     for k, b in enumerate(sigma.blocks):
         merged.setdefault(find(k), []).extend(b)
     return SetPartition(sigma.n, list(merged.values()))
-
-
-def closure_check(elements, leq, close, f, g):
-    """Finite verification of the closure-lemma pattern.
-
-    Checks the three closure axioms on (elements, leq), the partial-sum
-    hypothesis F(x) = sum_{closed y <= x} g(y) at every closed x, and the
-    conclusion g(y) = sum_{close(z) = y} f(z).  Exact equality throughout.
-    """
-    closed = [x for x in elements if close(x) == x]
-    for x in elements:
-        cx = close(x)
-        if not leq(x, cx):
-            return False
-        if close(cx) != cx:
-            return False
-        for y in elements:
-            if leq(x, y) and not leq(cx, close(y)):
-                return False
-    for x in closed:
-        total = None
-        for y in elements:
-            if leq(y, x):
-                total = f(y) if total is None else total + f(y)
-        partial = None
-        for y in closed:
-            if leq(y, x):
-                partial = g(y) if partial is None else partial + g(y)
-        if total != partial:
-            return False
-    for y in closed:
-        grouped = None
-        for z in elements:
-            if close(z) == y:
-                grouped = f(z) if grouped is None else grouped + f(z)
-        if grouped != g(y):
-            return False
-    return True

@@ -36,12 +36,7 @@ from fractions import Fraction
 from .cumulants import CumulantSeq, CumulantTable, MomentSeq
 from .errors import DomainError, LimitError, ParseError
 from .ncpoly import ALPHABET, MAX_WORD, block_factorize, check_word
-from .partitions import (
-    ENUMERATION_GUARD,
-    enumerate_nc_colored,
-    is_vnrp,
-    outer_inner,
-)
+from .partitions import ENUMERATION_GUARD, _enumerate, is_vnrp, outer_inner
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational, parse_gaussian
 from .series import SquareMatrix, TruncSeries
 
@@ -351,10 +346,9 @@ def vnrp_boolean_phi(spec, args, colors):
     if len(args) != len(colors):
         raise DomainError("one color per argument required")
     total = GQ_ZERO
-    for p in enumerate_nc_colored(colors):
-        if not p.is_irreducible() or not is_vnrp(p, colors):
-            continue
-        total = total + nested_two_state_boolean(spec, p, args)
+    for p in _enumerate(len(colors), None, colors, closed=True):
+        if is_vnrp(p, colors):
+            total = total + nested_two_state_boolean(spec, p, args)
     return total
 
 

@@ -35,7 +35,6 @@ from cfree.linearize import (
     Linearization,
     geometric_corner,
     linearize,
-    word_resolvent,
 )
 from cfree.multiplicative import (
     product_marginals,
@@ -46,7 +45,6 @@ from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.partitions import (
     enumerate_nc,
     enumerate_nc_colored,
-    interval_closure,
     is_ll,
     vnrp_closure,
 )
@@ -66,6 +64,8 @@ from cfree.twostate import (
     semicircle_moments,
     vnrp_boolean_phi,
 )
+
+from reference import interval_closure, word_resolvent
 
 COMMUTATOR = "i*(x*y - y*x)"
 

@@ -610,6 +610,32 @@ def test_partitions_counts(spec_files, capsys):
     assert json.loads(out)["count"] == 3
 
 
+def test_colored_partitions_cost_only_their_compatible_ones(capsys):
+    for word, count in (("xyxyxyxyxyxy", 1428), ("xxyyxyyxxyxy", 2536)):
+        code, out, _ = run(
+            capsys, "partitions", "--enumerate", "colored", "--colors", word
+        )
+        assert (code, json.loads(out)["count"]) == (0, count)
+    # at the guard: all 2,674,440 noncrossing partitions of 14 points
+    # would take minutes, the 7752 compatible ones take well under a second
+    started = time.perf_counter()
+    code, out, _ = run(
+        capsys, "partitions", "--enumerate", "colored", "--colors", "xy" * 7
+    )
+    assert time.perf_counter() - started < 5
+    assert (code, json.loads(out)["count"]) == (0, 7752)
+    # README prints this line byte for byte
+    code, out, _ = run(
+        capsys, "partitions", "--enumerate", "colored", "--colors", "xyxy"
+    )
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert out == (
+        '{"count":3,"items":[[[1],[2],[3],[4]],[[1],[2,4],[3]],[[1,3],[2],[4]]]}\n'
+    )
+    assert "$ cfree partitions --enumerate colored --colors xyxy\n" + out in readme
+
+
 def test_partitions_past_the_enumeration_guard_exit_3(capsys):
     # the command line has no option to raise the guard; the message says
     # so and names the library keyword that does

@@ -23,7 +23,7 @@ from cfree.condexp import (
 )
 from cfree.engine import solve_fixed_point
 from cfree.errors import DomainError, LimitError
-from cfree.linearize import linearize, word_resolvent
+from cfree.linearize import linearize
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.scalars import GQ_ONE, GaussianRational
 from cfree.series import SquareMatrix, TruncSeries
@@ -36,6 +36,8 @@ from cfree.twostate import (
     semicircle_moments,
 )
 from cfree.cumulants import MomentSeq
+
+from reference import word_resolvent
 
 
 def words_up_to(n, start=0):

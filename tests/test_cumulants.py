@@ -29,6 +29,8 @@ from cfree.partitions import (
 from cfree.scalars import GQ_ONE, GQ_ZERO, gq
 from cfree.series import TruncSeries
 
+from reference import closure_check, discrete, interval_closure
+
 
 def mseq(*ints, state="psi"):
     return MomentSeq(tuple(gq(c) for c in ints), state)
@@ -286,8 +288,6 @@ def test_beta_rho_is_ll_sum():
 
 def test_closure_grouping_with_weights():
     # interval closure regroups the NC cumulant sum into Boolean blocks
-    from cfree.partitions import closure_check, interval_closure
-
     rng = random.Random(22)
     m = rand_moments(rng, 5)
     r = free_from_moments(m)
@@ -313,8 +313,8 @@ def test_partitioned_functional():
 
     full = SetPartition.full(3)
     assert partitioned_functional(fn, full, "aaa") == beta.value(3)
-    discrete = SetPartition.discrete(3)
-    assert partitioned_functional(fn, discrete, "aaa") == beta.value(1) ** 3
+    bottom = discrete(3)
+    assert partitioned_functional(fn, bottom, "aaa") == beta.value(1) ** 3
     nested = SetPartition(3, [[1, 3], [2]])
     assert partitioned_functional(fn, nested, "aaa") == GQ_ZERO
     with pytest.raises(DomainError):
@@ -337,7 +337,7 @@ def test_boolean_products_extremes():
     beta = boolean_from_moments(SEMICIRCLE_M)
     fn = scalar_beta(beta)
     assert boolean_products_recursive(
-        fn, SetPartition.discrete(4), "aaaa"
+        fn, discrete(4), "aaaa"
     ) == beta.value(4)
     assert boolean_products_recursive(
         fn, SetPartition.full(4), "aaaa"

@@ -20,7 +20,7 @@ from cfree.engine import (
     solve_fixed_point,
 )
 from cfree.errors import DomainError, InternalError
-from cfree.linearize import linearize, word_resolvent
+from cfree.linearize import linearize
 from cfree.multiplicative import _advance, mgf_product_phi, subordination_pair
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, gq
@@ -34,6 +34,8 @@ from cfree.twostate import (
     random_spec,
     semicircle_moments,
 )
+
+from reference import word_resolvent
 
 
 def std_spec(order):

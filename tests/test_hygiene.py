@@ -74,15 +74,6 @@ ROOT = PACKAGE.parents[1]
 # one against, or says what else keeps it.  Delete an entry when its name
 # gains a caller or goes away; the last test below insists on that.
 SLOW_REFERENCES = {
-    "partitions.closure_check": "the closure-lemma check that regroups "
-    "the free-cumulant sum into Boolean cumulants, cross-checking "
-    "boolean_from_moments against free_from_moments",
-    "partitions.interval_closure": "the closure operator of that check "
-    "and of criterion 8's closure axioms",
-    "partitions.SetPartition.is_noncrossing": "checks enumerate_nc's "
-    "output against the definition of a noncrossing partition",
-    "partitions.SetPartition.discrete": "the bottom of the partition "
-    "lattice in the partitioned_functional and boolean_products tests",
     "cumulants.boolean_products_recursive": "the interval-product "
     "identity that cross-checks block_boolean against letterwise cumulants",
     "cumulants.boolean_products_join": "the same identity by the "

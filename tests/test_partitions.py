@@ -1,17 +1,19 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfree.errors import DomainError, LimitError
 from cfree.partitions import (
     SetPartition,
-    closure_check,
+    _enumerate,
     enumerate_interval,
     enumerate_irreducible,
     enumerate_nc,
     enumerate_nc_colored,
-    interval_closure,
     is_compatible,
     is_ll,
     is_vnrp,
@@ -20,6 +22,14 @@ from cfree.partitions import (
     vnrp_closure,
 )
 from cfree.selfcheck import ll_maximal
+
+from reference import (
+    closure_check,
+    discrete,
+    interval_closure,
+    is_irreducible,
+    is_noncrossing,
+)
 
 
 def catalan(n):
@@ -72,17 +82,17 @@ def test_blocks_sorted_by_min():
 
 
 def test_discrete_full():
-    assert SetPartition.discrete(3).blocks == ((1,), (2,), (3,))
+    assert discrete(3).blocks == ((1,), (2,), (3,))
     assert SetPartition.full(3).blocks == ((1, 2, 3),)
 
 
 def test_predicates():
-    assert part(4, (1, 4), (2, 3)).is_noncrossing()
-    assert not part(4, (1, 3), (2, 4)).is_noncrossing()
+    assert is_noncrossing(part(4, (1, 4), (2, 3)))
+    assert not is_noncrossing(part(4, (1, 3), (2, 4)))
     assert part(4, (1, 2), (3, 4)).is_interval()
     assert not part(4, (1, 4), (2, 3)).is_interval()
-    assert part(4, (1, 4), (2, 3)).is_irreducible()
-    assert not part(4, (1, 2), (3, 4)).is_irreducible()
+    assert is_irreducible(part(4, (1, 4), (2, 3)))
+    assert not is_irreducible(part(4, (1, 2), (3, 4)))
 
 
 def test_leq():
@@ -118,14 +128,45 @@ def test_enumeration_counts_formulas():
 
 def test_enumeration_against_brute_force():
     for n in range(1, 7):
-        brute = [p for p in all_partitions(n) if p.is_noncrossing()]
+        brute = [p for p in all_partitions(n) if is_noncrossing(p)]
         assert set(enumerate_nc(n)) == set(brute)
         assert set(enumerate_interval(n)) == {
             p for p in brute if p.is_interval()
         }
         assert set(enumerate_irreducible(n)) == {
-            p for p in brute if p.is_irreducible()
+            p for p in brute if is_irreducible(p)
         }
+
+
+@functools.cache
+def all_nc(n):
+    return enumerate_nc(n)
+
+
+def test_irreducible_enumeration_is_the_filter_in_order():
+    # the filter over every NC partition stays here as the slow route
+    for n in range(1, 11):
+        assert enumerate_irreducible(n) == [
+            p for p in all_nc(n) if is_irreducible(p)
+        ]
+
+
+colorings = st.integers(2, 3).flatmap(
+    lambda k: st.text(alphabet="xyz"[:k], min_size=1, max_size=10)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(colors=colorings)
+def test_colored_enumeration_is_the_filter_in_order(colors):
+    compatible = [
+        p for p in all_nc(len(colors)) if is_compatible(p, colors)
+    ]
+    assert enumerate_nc_colored(colors) == compatible
+    # the irreducible colored list that vnrp_boolean_phi sums over
+    assert _enumerate(len(colors), None, colors, closed=True) == [
+        p for p in compatible if is_irreducible(p)
+    ]
 
 
 def test_enumeration_deterministic():

@@ -9,7 +9,6 @@ from cfree.errors import DomainError, LimitError, ParseError
 from cfree.ncpoly import NCPolynomial, block_factorize, parse_poly
 from cfree.partitions import (
     SetPartition,
-    closure_check,
     enumerate_nc,
     enumerate_nc_colored,
     is_ll,
@@ -37,6 +36,8 @@ from cfree.twostate import (
     vnrp_boolean_phi,
 )
 from cfree.cumulants import MomentSeq, boolean_products_recursive
+
+from reference import closure_check
 
 
 def semicircle_bernoulli(order):
