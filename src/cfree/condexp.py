@@ -40,8 +40,8 @@ from __future__ import annotations
 import itertools
 
 from .engine import solve_fixed_point
-from .errors import DomainError, LimitError
-from .ncpoly import MAX_WORD, NCPolynomial, block_factorize
+from .errors import Frozen, LimitError
+from .ncpoly import MAX_WORD, NCPolynomial, block_factorize, check_word
 from .series import TruncSeries, geometric
 from .twostate import multilinear_boolean, partial_block_boolean
 
@@ -57,7 +57,7 @@ __all__ = [
 DEFAULT_GUARD = 10
 
 
-class CondExpResult:
+class CondExpResult(Frozen):
     """A conditional expectation value plus how it was computed.
 
     source is one of "full-formula", "recursive", "resolvent".  The
@@ -66,28 +66,9 @@ class CondExpResult:
 
     __slots__ = ("poly", "source")
 
-    def __init__(self, poly, source):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "source", source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CondExpResult is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CondExpResult):
-            return NotImplemented
-        return self.poly == other.poly and self.source == other.source
-
-    def __hash__(self):
-        return hash((self.poly, self.source))
-
-    def __repr__(self):
-        return "CondExpResult(%r, %r)" % (self.poly, self.source)
-
 
 def _checked_word(w, guard):
-    if any(c not in "xy" for c in w):
-        raise DomainError("words are over the letters x and y, got %r" % (w,))
+    check_word(w)
     if len(w) > guard:
         raise LimitError(
             "word of length %d exceeds the guard %d; raise it with --guard "

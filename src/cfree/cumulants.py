@@ -22,43 +22,46 @@ identities.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, Frozen
 from .partitions import enumerate_interval, outer_inner
-from .scalars import GQ_ONE, GQ_ZERO, GaussianRational
+from .scalars import GQ_ONE, GQ_ZERO, as_gaussian
 from .series import Powers, TruncSeries, cauchy, geometric
 
 MOMENT_STATES = ("psi", "phi")
 CUMULANT_KINDS = ("boolean-psi", "boolean-phi", "free-psi", "cfree")
 
 
-def _coerce_values(values):
-    out = []
-    for v in values:
-        if isinstance(v, int):
-            v = GaussianRational(v)
-        if not isinstance(v, GaussianRational):
-            raise DomainError("sequence entries must be rational scalars")
-        out.append(v)
-    return tuple(out)
+class _TaggedSeq(Frozen):
+    """Exact values m_1..m_N (or c_1..c_N) under a tag from TAGS; a
+    subclass lists its slots as (tag, values)."""
 
+    __slots__ = ()
 
-class MomentSeq:
-    """Moments m_1..m_N of one variable under a named state."""
-
-    __slots__ = ("state", "values")
-
-    def __init__(self, values, state="psi"):
-        if state not in MOMENT_STATES:
-            raise DomainError("unknown state tag %r" % (state,))
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "values", _coerce_values(values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentSeq is immutable")
+    def __init__(self, values, tag):
+        if tag not in self.TAGS:
+            raise DomainError(self.BAD_TAG % (tag,))
+        out = []
+        for v in values:
+            v = as_gaussian(v)
+            if v is None:
+                raise DomainError("sequence entries must be rational scalars")
+            out.append(v)
+        super().__init__(tag, tuple(out))
 
     @property
     def order(self):
         return len(self.values)
+
+
+class MomentSeq(_TaggedSeq):
+    """Moments m_1..m_N of one variable under a named state."""
+
+    __slots__ = ("state", "values")
+    TAGS = MOMENT_STATES
+    BAD_TAG = "unknown state tag %r"
+
+    def __init__(self, values, state="psi"):
+        super().__init__(values, state)
 
     def moment(self, k):
         """m_k, with m_0 = 1."""
@@ -72,51 +75,21 @@ class MomentSeq:
         """The moment generating function 1 + m_1 z + ... + m_N z^N."""
         return TruncSeries((GQ_ONE,) + self.values)
 
-    def __eq__(self, other):
-        if not isinstance(other, MomentSeq):
-            return NotImplemented
-        return self.state == other.state and self.values == other.values
 
-    def __hash__(self):
-        return hash((self.state, self.values))
-
-    def __repr__(self):
-        return "MomentSeq(%r, state=%r)" % (list(self.values), self.state)
-
-
-class CumulantSeq:
+class CumulantSeq(_TaggedSeq):
     """Cumulants c_1..c_N with a kind tag fixing their meaning."""
 
     __slots__ = ("kind", "values")
+    TAGS = CUMULANT_KINDS
+    BAD_TAG = "unknown cumulant kind %r"
 
     def __init__(self, values, kind):
-        if kind not in CUMULANT_KINDS:
-            raise DomainError("unknown cumulant kind %r" % (kind,))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "values", _coerce_values(values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CumulantSeq is immutable")
-
-    @property
-    def order(self):
-        return len(self.values)
+        super().__init__(values, kind)
 
     def value(self, k):
         if not 1 <= k <= self.order:
             raise DomainError("cumulant index %d outside declared order" % k)
         return self.values[k - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, CumulantSeq):
-            return NotImplemented
-        return self.kind == other.kind and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.kind, self.values))
-
-    def __repr__(self):
-        return "CumulantSeq(%r, kind=%r)" % (list(self.values), self.kind)
 
 
 def eta_series(boolean, order=None):

@@ -17,10 +17,10 @@ DomainErrors (zero-mean weight, moments out of range, singular data).
 from __future__ import annotations
 
 from .engine import _poly_moments
-from .errors import DomainError, InternalError
+from .errors import DomainError, Frozen, InternalError
 from .cumulants import MomentSeq
 from .ncpoly import NCPolynomial, parse_poly
-from .scalars import GQ_ZERO, GaussianRational
+from .scalars import GQ_ZERO, as_gaussian
 from .series import SquareMatrix
 from .twostate import TwoStateSpec
 
@@ -38,18 +38,10 @@ def _as_poly(p):
     return parse_poly(p) if isinstance(p, str) else p
 
 
-class WeightedState:
+class WeightedState(Frozen):
     """A two-state spec induced by a polynomial weight in the signal."""
 
     __slots__ = ("weight", "normalization", "spec")
-
-    def __init__(self, weight, normalization, spec):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "normalization", normalization)
-        object.__setattr__(self, "spec", spec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedState is immutable")
 
 
 def weighted_state(x_psi, y_psi, f, order):
@@ -105,7 +97,7 @@ def distributions_of_poly(state, p, order):
     return _poly_moments(state.spec, _as_poly(p), order, ("phi", "psi"))
 
 
-class ProjectionResult:
+class ProjectionResult(Frozen):
     """Best L2(psi) approximation of the target by powers of P.
 
     coefficients has length rank: the Hankel system is reduced to its
@@ -117,15 +109,7 @@ class ProjectionResult:
     __slots__ = ("coefficients", "rank", "residuals")
 
     def __init__(self, coefficients, rank, residuals):
-        object.__setattr__(self, "coefficients", tuple(coefficients))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "residuals", tuple(residuals))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectionResult is immutable")
-
-    def __repr__(self):
-        return "ProjectionResult(%r, rank=%d)" % (self.coefficients, self.rank)
+        super().__init__(tuple(coefficients), rank, tuple(residuals))
 
 
 def l2_project(spec, g, p, d):
@@ -184,13 +168,13 @@ def condexp_verify(spec, g, p, h, count):
     p = _as_poly(p)
     if isinstance(h, ProjectionResult):
         h = h.coefficients
-    coeffs = tuple(
-        c if isinstance(c, GaussianRational) else GaussianRational(c) for c in h
-    )
     h_of_p = NCPolynomial.zero()
     power = NCPolynomial.one()
-    for c in coeffs:
-        h_of_p = h_of_p + c * power
+    for c in h:
+        coeff = as_gaussian(c)
+        if coeff is None:
+            raise TypeError("rational part must be int or Fraction, got %r" % (c,))
+        h_of_p = h_of_p + coeff * power
         power = power * p
     diff = g - h_of_p
     reach = diff.degree() + count * p.degree()

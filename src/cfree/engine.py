@@ -34,7 +34,7 @@ A or B first enters at z^(k+1), so those with k >= N are dropped.
 
 from __future__ import annotations
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, Frozen, InternalError
 from .linearize import linearize
 from .ncpoly import parse_poly
 from .scalars import GQ_ONE
@@ -66,7 +66,7 @@ def _as_matrix_series(coeffs, order):
     return TruncSeries(padded), n
 
 
-class EngineState:
+class EngineState(Frozen):
     """Solved fixed point: the pencil and the six subordination blocks.
 
     The blocks h_x, h_y, f_x, f_y, f_x_phi, f_y_phi share one truncation
@@ -87,13 +87,6 @@ class EngineState:
         "f_x_phi",
         "f_y_phi",
     )
-
-    def __init__(self, **fields):
-        for name in self.__slots__:
-            object.__setattr__(self, name, fields[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EngineState is immutable")
 
     def mgf(self, which):
         """M(z) = (I - z A F_X - z B F_Y)^{-1} for state which."""
@@ -181,17 +174,7 @@ def solve_fixed_point(spec, a, b, order):
     f_y_phi = TruncSeries(w_y.combine(phi_y, t) for t in range(sub + 1))
 
     return EngineState(
-        spec=spec,
-        order=order,
-        n=n,
-        a=a_s,
-        b=b_s,
-        h_x=h_x,
-        h_y=h_y,
-        f_x=f_x,
-        f_y=f_y,
-        f_x_phi=f_x_phi,
-        f_y_phi=f_y_phi,
+        spec, order, n, a_s, b_s, h_x, h_y, f_x, f_y, f_x_phi, f_y_phi
     )
 
 

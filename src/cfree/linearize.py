@@ -15,7 +15,7 @@ the y-labeled ones, and u = v = the root coordinate vector.
 
 from __future__ import annotations
 
-from .errors import DomainError, LimitError
+from .errors import DomainError, Frozen, LimitError
 from .ncpoly import NCPolynomial
 from .scalars import GQ_ONE, GQ_ZERO
 from .series import SquareMatrix, TruncSeries
@@ -23,7 +23,7 @@ from .series import SquareMatrix, TruncSeries
 MAX_PENCIL = 64  # states; the engine costs ~n^3 and n = 63 takes over a minute
 
 
-class Linearization:
+class Linearization(Frozen):
     """Matrices A(z), B(z) as z-coefficient lists, plus the corner vectors."""
 
     __slots__ = ("n", "m", "a_coeffs", "b_coeffs", "u", "v")
@@ -36,15 +36,7 @@ class Linearization:
                 raise DomainError("matrix size differs from state count")
         if len(u) != n or len(v) != n:
             raise DomainError("corner vectors must have one entry per state")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a_coeffs", a_coeffs)
-        object.__setattr__(self, "b_coeffs", b_coeffs)
-        object.__setattr__(self, "u", tuple(u))
-        object.__setattr__(self, "v", tuple(v))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Linearization is immutable")
+        super().__init__(n, m, a_coeffs, b_coeffs, tuple(u), tuple(v))
 
     def corner(self, series):
         """u^t S(z) v for a series S of matrices with polynomial entries."""

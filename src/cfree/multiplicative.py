@@ -24,7 +24,7 @@ property, checked in the tests, is multiplicativity over the product.
 from __future__ import annotations
 
 from .cumulants import MomentSeq, boolean_from_moments, eta_series
-from .errors import DomainError
+from .errors import DomainError, Frozen
 from .scalars import GQ_ONE, GQ_ZERO
 from .series import Powers, geometric, settle
 
@@ -38,29 +38,14 @@ __all__ = [
 ]
 
 
-class SubordinationPair:
+class SubordinationPair(Frozen):
     """The two solved subordination series, both with zero constant term."""
 
     __slots__ = ("omega_x", "omega_y")
 
-    def __init__(self, omega_x, omega_y):
-        object.__setattr__(self, "omega_x", omega_x)
-        object.__setattr__(self, "omega_y", omega_y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubordinationPair is immutable")
-
     @property
     def order(self):
         return self.omega_x.order
-
-    def __eq__(self, other):
-        if not isinstance(other, SubordinationPair):
-            return NotImplemented
-        return self.omega_x == other.omega_x and self.omega_y == other.omega_y
-
-    def __repr__(self):
-        return "SubordinationPair(%r, %r)" % (self.omega_x, self.omega_y)
 
 
 def _advance(eta, omega_other):

@@ -8,14 +8,13 @@ between polynomials and the text grammar that the command line reads.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import DomainError, LimitError, ParseError
+from .errors import DomainError, Frozen, LimitError, ParseError
 from .scalars import (
     GQ_I,
     GQ_ONE,
     GQ_ZERO,
     GaussianRational,
+    as_gaussian,
     format_gaussian,
     parse_rational,
 )
@@ -48,14 +47,6 @@ def block_factorize(word):
     return [(ch, k) for ch, k in runs]
 
 
-def _coerce_coeff(value):
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    return None
-
-
 def _accumulate(data, items):
     """Add (word, coeff) pairs into data, dropping every zero sum."""
     for word, coeff in items:
@@ -77,18 +68,14 @@ def _poly(data):
     return poly
 
 
-class NCPolynomial:
+class NCPolynomial(Frozen):
     """A finite Q(i)-linear combination of words in x and y."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        data = _accumulate({}, ((check_word(w), c) for w, c in items))
-        object.__setattr__(self, "terms", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPolynomial is immutable")
+        super().__init__(_accumulate({}, ((check_word(w), c) for w, c in items)))
 
     # -- constructors ------------------------------------------------------
 
@@ -111,7 +98,7 @@ class NCPolynomial:
 
     @classmethod
     def scalar(cls, value):
-        c = _coerce_coeff(value)
+        c = as_gaussian(value)
         if c is None:
             raise DomainError("bad scalar %r" % (value,))
         return cls((("", c),))
@@ -170,7 +157,7 @@ class NCPolynomial:
         return _poly({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        c = _coerce_coeff(other)
+        c = as_gaussian(other)
         if c is not None:
             if c.is_zero():
                 return _ZERO
@@ -191,7 +178,7 @@ class NCPolynomial:
         return _poly(_accumulate({}, products))
 
     def __rmul__(self, other):
-        c = _coerce_coeff(other)
+        c = as_gaussian(other)
         if c is None:
             return NotImplemented
         if c.is_zero():

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DomainError, LimitError
+from .errors import DomainError, Frozen, LimitError
 
 ENUMERATION_GUARD = 14
 
 
-class SetPartition:
+class SetPartition(Frozen):
     """A partition of {1, ..., n} into disjoint nonempty blocks."""
 
     __slots__ = ("n", "blocks")
@@ -38,11 +38,7 @@ class SetPartition:
         if len(seen) != n:
             raise DomainError("blocks do not cover 1..%d" % n)
         normalized.sort(key=lambda b: b[0])
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", tuple(normalized))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
+        super().__init__(n, tuple(normalized))
 
     @classmethod
     def full(cls, n):
@@ -78,21 +74,10 @@ class SetPartition:
             for block in self.blocks
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, SetPartition):
-            return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
     def __str__(self):
         return "".join(
             "{%s}" % ",".join(map(str, b)) for b in self.blocks
         )
-
-    def __repr__(self):
-        return "SetPartition(%d, %s)" % (self.n, list(map(list, self.blocks)))
 
 
 def _check_range(n, guard):
@@ -150,7 +135,14 @@ def _enumerate(n, guard, colors=None, closed=False):
     """The guarded list behind every noncrossing enumeration below."""
     _check_range(n, guard)
     points = tuple(range(1, n + 1))
-    return [SetPartition(n, b) for b in _nc_blocks(points, colors, closed)]
+    out = []
+    # the generator's blocks are sorted, disjoint and ordered by their
+    # minima already: store them without SetPartition's re-validation
+    for blocks in _nc_blocks(points, colors, closed):
+        p = SetPartition.__new__(SetPartition)
+        Frozen.__init__(p, n, tuple(blocks))
+        out.append(p)
+    return out
 
 
 def enumerate_nc(n, guard=None):

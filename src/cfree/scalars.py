@@ -1,8 +1,8 @@
 """Exact scalars: Gaussian rationals a + b*i over Python's Fraction.
 
-All coefficient arithmetic in the package happens in Q(i).  The class is
-immutable by convention (nothing mutates re/im after construction) so values
-can key dictionaries and memo tables.
+All coefficient arithmetic in the package happens in Q(i).  Values are
+immutable, so they can key dictionaries and memo tables, and as_gaussian
+is the one rule for which Python values count as exact scalars.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, Frozen, ParseError
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
@@ -30,7 +30,7 @@ def _frac(value):
     raise TypeError("rational part must be int or Fraction, got %r" % (value,))
 
 
-class GaussianRational:
+class GaussianRational(Frozen):
     """A complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
@@ -38,9 +38,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     # -- predicates ----------------------------------------------------
 
@@ -52,16 +49,8 @@ class GaussianRational:
 
     # -- ring operations -----------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = as_gaussian(other)
         if o is None:
             return NotImplemented
         return GaussianRational(self.re + o.re, self.im + o.im)
@@ -69,13 +58,13 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = as_gaussian(other)
         if o is None:
             return NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = as_gaussian(other)
         if o is None:
             return NotImplemented
         return o - self
@@ -84,7 +73,7 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = as_gaussian(other)
         if o is None:
             return NotImplemented
         return GaussianRational(
@@ -101,13 +90,13 @@ class GaussianRational:
         return GaussianRational(self.re / norm, -self.im / norm)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = as_gaussian(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = as_gaussian(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -131,7 +120,7 @@ class GaussianRational:
     # -- hashing / comparison -------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = as_gaussian(other)
         if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im
@@ -156,6 +145,16 @@ class GaussianRational:
 
     def __repr__(self):
         return "GaussianRational(%r)" % format_gaussian(self)
+
+
+def as_gaussian(value):
+    """value as a GaussianRational when it is an exact scalar (a
+    GaussianRational, an int or a Fraction), else None."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(value)
+    return None
 
 
 GQ_ZERO = GaussianRational(0)

@@ -29,11 +29,11 @@ its entries need inverse() for the pivots.
 
 from __future__ import annotations
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, Frozen, InternalError
 from .scalars import GQ_ONE, GQ_ZERO
 
 
-class TruncSeries:
+class TruncSeries(Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
@@ -41,9 +41,6 @@ class TruncSeries:
         if not coeffs:
             raise DomainError("a truncated series needs at least order 0")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
 
     @property
     def order(self):
@@ -118,14 +115,6 @@ class TruncSeries:
 
     def map(self, fn):
         return TruncSeries(tuple(fn(c) for c in self.coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def agrees_with(self, other, order=None):
         """Coefficientwise equality up to the smaller (or given) order."""
@@ -218,9 +207,6 @@ class TruncSeries:
         if not parts:
             return "0 + O(z^%d)" % (self.order + 1)
         return " + ".join(parts) + " + O(z^%d)" % (self.order + 1)
-
-    def __repr__(self):
-        return "TruncSeries(%r)" % (self.coeffs,)
 
 
 def cauchy(p, q, k, zero):
@@ -317,7 +303,7 @@ class Powers:
         return self.zero if acc is None else acc
 
 
-class SquareMatrix:
+class SquareMatrix(Frozen):
     """A dense square matrix over any of the package's exact rings."""
 
     __slots__ = ("rows",)
@@ -330,9 +316,6 @@ class SquareMatrix:
         if n == 0:
             raise DomainError("empty matrix")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SquareMatrix is immutable")
 
     @property
     def n(self):
@@ -429,14 +412,6 @@ class SquareMatrix:
         )
 
     __rmul__ = scale  # a scalar from the left
-
-    def __eq__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def _eliminate(self):
         """One Gauss-Jordan pass, first nonzero pivot: (det, inverse).

@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 
 from .cumulants import CumulantSeq, CumulantTable, MomentSeq
-from .errors import DomainError, LimitError, ParseError
+from .errors import DomainError, Frozen, LimitError, ParseError
 from .ncpoly import ALPHABET, MAX_WORD, block_factorize, check_word
 from .partitions import ENUMERATION_GUARD, _enumerate, is_vnrp, outer_inner
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational, parse_gaussian
@@ -43,7 +43,7 @@ from .series import SquareMatrix, TruncSeries
 STATES = ("psi", "phi")
 
 
-class TwoStateSpec:
+class TwoStateSpec(Frozen):
     """Marginal data of x and y plus memoized joint moment evaluation."""
 
     __slots__ = (
@@ -75,22 +75,18 @@ class TwoStateSpec:
             letter: CumulantTable(psi[letter].values, phi[letter].values)
             for letter in ALPHABET
         }
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_psi", psi)
-        object.__setattr__(self, "_phi", phi)
-        object.__setattr__(self, "_tables", tables)
         scale = {ch: _letter_scale(psi[ch].values, phi[ch].values) for ch in ALPHABET}
-        object.__setattr__(self, "_scale", scale)
         # D^k times the k-th free (psi) or c-free (phi) cumulant, as int
         # pairs, grown beside the tables' lists as words need them
         scaled = {state: {ch: [] for ch in ALPHABET} for state in STATES}
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "_psi_memo", {"": (1, 0)})
-        object.__setattr__(self, "_phi_memo", {"": (1, 0)})
-        object.__setattr__(self, "_chain_memo", {})
+        super().__init__(
+            order, psi, phi, tables, scale, scaled, {"": (1, 0)}, {"": (1, 0)}, {}
+        )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoStateSpec is immutable")
+    # the memos are dicts that grow: a spec equals and prints only itself
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+    __repr__ = object.__repr__
 
     # -- marginal data -------------------------------------------------------
 
@@ -359,8 +355,6 @@ def vnrp_boolean_phi(spec, args, colors):
 
 def semicircle_moments(variance, order, state="psi"):
     """Even moments Catalan_k * v^k, odd moments zero."""
-    if isinstance(variance, int):
-        variance = GaussianRational(variance)
     values = []
     power = GQ_ONE
     for n in range(1, order + 1):
@@ -375,13 +369,7 @@ def semicircle_moments(variance, order, state="psi"):
 
 def atom_moments(pairs, order, state="psi"):
     """Moments of a finite atomic measure given as (value, weight) pairs."""
-    pairs = [
-        (
-            GaussianRational(v) if isinstance(v, int) else v,
-            GaussianRational(w) if isinstance(w, int) else w,
-        )
-        for v, w in pairs
-    ]
+    pairs = list(pairs)
     total = GQ_ZERO
     for _, w in pairs:
         total = total + w

@@ -198,3 +198,95 @@ def test_every_library_name_has_a_caller_outside_the_tests():
 def test_slow_references_are_still_only_reached_by_tests():
     stale = sorted(set(SLOW_REFERENCES) - set(library_unreferenced()))
     assert not stale, "drop these SLOW_REFERENCES entries: %s" % ", ".join(stale)
+
+
+# -- one immutability policy --------------------------------------------------
+
+# Slotted classes that are mutable on purpose: tables grown in place.
+MUTABLE = {"CumulantTable", "Powers"}
+
+
+def immutability_forks(modules):
+    """Where modules (name -> source) write their own immutability policy.
+
+    That is every __setattr__ definition or "is immutable" string outside
+    errors.Frozen, and every slotted class outside MUTABLE that derives
+    from Frozen neither directly nor through other classes of the modules.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    classes = {
+        node.name: node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def frozen(name):
+        return name == "Frozen" or name in classes and any(
+            isinstance(base, ast.Name) and frozen(base.id)
+            for base in classes[name].bases
+        )
+
+    policy = set()
+    if "errors" in trees and "Frozen" in classes:
+        policy = set(ast.walk(classes["Frozen"]))
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if node in policy:
+                continue
+            setter = isinstance(node, ast.FunctionDef) and node.name == "__setattr__"
+            message = isinstance(node, ast.Constant) and "is immutable" in str(node.value)
+            if setter or message:
+                found.append("%s line %d" % (module, node.lineno))
+            elif (
+                isinstance(node, ast.ClassDef)
+                and node.name not in MUTABLE
+                and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for item in node.body
+                    if isinstance(item, ast.Assign)
+                    for t in item.targets
+                )
+                and not frozen(node.name)
+            ):
+                found.append("%s.%s" % (module, node.name))
+    return found
+
+
+def test_immutability_checker_sees_forks():
+    modules = {
+        "errors": (
+            "class Frozen:\n"
+            "    __slots__ = ()\n"
+            "    def __setattr__(self, name, value):\n"
+            "        raise AttributeError('%s is immutable' % name)\n"
+        ),
+        "a": (
+            "from .errors import Frozen\n"
+            "class Base(Frozen):\n"
+            "    __slots__ = ()\n"
+            "class Leaf(Base):\n"
+            "    __slots__ = ('v',)\n"
+            "class Powers:\n"
+            "    __slots__ = ('p',)\n"
+            "class Loose:\n"
+            "    __slots__ = ('v',)\n"
+            "class Forked(Frozen):\n"
+            "    __slots__ = ('v',)\n"
+            "    def __setattr__(self, name, value):\n"
+            "        raise AttributeError('Forked is immutable')\n"
+        ),
+    }
+    assert immutability_forks(modules) == [
+        "a.Loose", "a line 12", "a line 13"
+    ]
+
+
+def test_one_immutability_policy():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    found = immutability_forks(modules)
+    assert not found, (
+        "derive these from errors.Frozen instead of writing their own "
+        "immutability, or add a mutable table to MUTABLE: %s" % ", ".join(found)
+    )

@@ -169,6 +169,18 @@ def test_colored_enumeration_is_the_filter_in_order(colors):
     ]
 
 
+def test_generated_partitions_equal_their_validated_construction():
+    # the enumerations skip SetPartition's validation of their blocks
+    rng = random.Random(9)
+    for n in range(1, 10):
+        colorings = ("xy" * n)[:n], "".join(rng.choice("xyz") for _ in range(n))
+        listed = enumerate_nc(n) + enumerate_irreducible(n)
+        for colors in colorings:
+            listed += enumerate_nc_colored(colors)
+        for p in listed:
+            assert p == SetPartition(n, p.blocks)
+
+
 def test_enumeration_deterministic():
     assert enumerate_nc(5) == enumerate_nc(5)
     assert [str(p) for p in enumerate_nc(2)] == ["{1}{2}", "{1,2}"]
