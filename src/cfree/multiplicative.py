@@ -26,7 +26,7 @@ from __future__ import annotations
 from .cumulants import MomentSeq, boolean_from_moments, eta_series
 from .errors import DomainError, Frozen
 from .scalars import GQ_ONE, GQ_ZERO
-from .series import Powers, geometric, settle
+from .series import Powers, TruncSeries, geometric, settle
 
 __all__ = [
     "SubordinationPair",
@@ -49,22 +49,30 @@ class SubordinationPair(Frozen):
 
 
 def _advance(eta, omega_other):
-    """z * etat(omega_other) at omega_other's order, from scratch."""
-    return eta.compose_shifted(omega_other).shift(1)
+    """z * etat(omega_other) at omega_other's order N, from scratch; the
+    shift by z leaves it reading omega_other below z^N only."""
+    n = omega_other.order
+    low = eta.compose_shifted(omega_other.truncated(max(n - 1, 0)))
+    return TruncSeries(((GQ_ZERO,) + low.coeffs)[: n + 1])
 
 
-def subordination_pair(spec, order):
-    """Solve the coupled subordination fixed point at the given order.
-
-    Needs spec.order >= order.  Grows the pair one coefficient at a time;
-    a last sweep at the full order must leave it unchanged.
-    """
+def _check_order(spec, order):
     if order < 0:
         raise DomainError("order must be >= 0")
     if spec.order < order:
         raise DomainError(
             "subordination order %d exceeds spec order %d" % (order, spec.order)
         )
+
+
+def subordination_pair(spec, order):
+    """Solve the coupled subordination fixed point at the given order.
+
+    Needs spec.order >= order, and reads each letter's psi-Boolean
+    cumulants b_1..b_order.  Grows the pair one coefficient at a time;
+    a last sweep at the full order must leave it unchanged.
+    """
+    _check_order(spec, order)
     # omega's z^t coefficient reads b_k for k <= t: eta to the order
     eta_x, eta_y = (spec.eta(ch, "psi", max(order, 1)) for ch in "xy")
     b_x, b_y = eta_x.coeffs[1:], eta_y.coeffs[1:]
@@ -90,9 +98,12 @@ def mgf_product_phi(spec, order):
     """Moment series of the product XY in the state phi.
 
     The geometric series in z * etat^phi_X(omega_X) * etat^phi_Y(omega_Y);
-    its coefficients are exactly phi((XY)^n).
+    its coefficients are exactly phi((XY)^n).  The z^order coefficient
+    reads that symbol only below z^order: so the pair is solved one order
+    lower, and each letter's phi-Boolean cumulants b_1..b_order are read.
     """
-    pair = subordination_pair(spec, order)
+    _check_order(spec, order)
+    pair = subordination_pair(spec, max(order - 1, 0))
     tx = spec.eta("x", "phi", order).compose_shifted(pair.omega_x)
     ty = spec.eta("y", "phi", order).compose_shifted(pair.omega_y)
     return geometric(tx * ty, order)
@@ -104,9 +115,9 @@ def sigma_transform(marginal, order):
     marginal is a pair (phi_moments, psi_moments).  The result is the
     shifted phi-Boolean transform composed with the compositional
     inverse of the psi-Boolean transform, a series of order one less
-    than requested (its top coefficient would need cumulants past the
-    marginals' order).  The psi-mean must be nonzero for the inverse
-    to exist.
+    than requested: it reads phi-moments m_1..m_order and psi-moments
+    m_1..m_max(1, order-1) only.  The psi-mean must be nonzero for the
+    inverse to exist.
     """
     phi_m, psi_m = marginal
     if order < 1:
@@ -117,10 +128,11 @@ def sigma_transform(marginal, order):
         )
     if psi_m.moment(1).is_zero():
         raise DomainError("sigma transform needs a nonzero psi-mean")
-    eta_psi = eta_series(boolean_from_moments(psi_m), order)
-    eta_phi = eta_series(boolean_from_moments(phi_m), order)
-    inverse = eta_psi.revert()
-    return eta_phi.compose_shifted(inverse).truncated(order - 1)
+    eta_phi, eta_psi = (
+        eta_series(boolean_from_moments(MomentSeq(m.values[:k], m.state)))
+        for m, k in ((phi_m, order), (psi_m, max(order - 1, 1)))
+    )
+    return eta_phi.compose_shifted(eta_psi.revert().truncated(order - 1))
 
 
 def product_marginals(spec, order):
@@ -139,10 +151,8 @@ def product_marginals(spec, order):
 
 def sigma_symbols(spec, order):
     """The symbols (sigma_X, sigma_Y, sigma_XY); sigma_XY = sigma_X sigma_Y."""
-    s_x = sigma_transform(
-        (spec.marginal("x", "phi"), spec.marginal("x", "psi")), order
-    )
-    s_y = sigma_transform(
-        (spec.marginal("y", "phi"), spec.marginal("y", "psi")), order
+    s_x, s_y = (
+        sigma_transform((spec.marginal(ch, "phi"), spec.marginal(ch, "psi")), order)
+        for ch in "xy"
     )
     return s_x, s_y, sigma_transform(product_marginals(spec, order), order)

@@ -68,6 +68,15 @@ def _poly(data):
     return poly
 
 
+def _as_poly(value):
+    """value itself when an NCPolynomial, the constant polynomial of an
+    exact scalar (through as_gaussian), else None."""
+    if isinstance(value, NCPolynomial):
+        return value
+    c = as_gaussian(value)
+    return None if c is None else NCPolynomial.scalar(c)
+
+
 class NCPolynomial(Frozen):
     """A finite Q(i)-linear combination of words in x and y."""
 
@@ -135,18 +144,16 @@ class NCPolynomial(Frozen):
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            other = NCPolynomial.scalar(other)
-        if not isinstance(other, NCPolynomial):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         return _poly(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            other = NCPolynomial.scalar(other)
-        if not isinstance(other, NCPolynomial):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -177,13 +184,7 @@ class NCPolynomial(Frozen):
         )
         return _poly(_accumulate({}, products))
 
-    def __rmul__(self, other):
-        c = as_gaussian(other)
-        if c is None:
-            return NotImplemented
-        if c.is_zero():
-            return _ZERO
-        return _poly({w: c * k for w, k in self.terms.items()})
+    __rmul__ = __mul__  # only scalars reach it, and they commute
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -221,9 +222,8 @@ class NCPolynomial(Frozen):
         return _ONE
 
     def __eq__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            other = NCPolynomial.scalar(other)
-        if not isinstance(other, NCPolynomial):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         return self.terms == other.terms
 

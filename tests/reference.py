@@ -5,6 +5,8 @@ faster, or a definition the library never needs at run time; the tests
 check the fast paths against these.
 """
 
+from cfree.cumulants import boolean_from_moments, eta_series
+from cfree.multiplicative import subordination_pair
 from cfree.ncpoly import NCPolynomial
 from cfree.partitions import SetPartition, outer_inner
 from cfree.series import SquareMatrix, TruncSeries, geometric
@@ -98,3 +100,32 @@ def word_resolvent(a_coeffs, b_coeffs, n, order):
         for k, mat in enumerate(stack[: order + 1]):
             lifted[k] = lifted[k] + mat.map(lambda c: c * var)
     return geometric(TruncSeries(lifted), order)
+
+
+def advance_full(eta, omega_other):
+    """multiplicative._advance the slow way: z * etat(omega_other) composed
+    at omega_other's full order, whose top coefficient, the costliest
+    one, the shift by z then drops."""
+    return eta.compose_shifted(omega_other).shift(1)
+
+
+def mgf_product_phi_full(spec, order):
+    """mgf_product_phi the slow way: the pair solved at the full order and
+    both compositions carried to z^order, though the geometric series
+    reads them only below z^order."""
+    pair = subordination_pair(spec, order)
+    tx = spec.eta("x", "phi", order).compose_shifted(pair.omega_x)
+    ty = spec.eta("y", "phi", order).compose_shifted(pair.omega_y)
+    return geometric(tx * ty, order)
+
+
+def sigma_transform_full(marginal, order):
+    """sigma_transform the slow way: both Boolean recursions run over the
+    marginals' own order, and the reversion and composition carried to
+    z^order, then cut to order - 1.  Raises DomainError where
+    sigma_transform does: a zero psi-mean or order 0 leaves nothing to
+    revert, and short marginals leave eta_series short."""
+    phi_m, psi_m = marginal
+    eta_psi = eta_series(boolean_from_moments(psi_m), order)
+    eta_phi = eta_series(boolean_from_moments(phi_m), order)
+    return eta_phi.compose_shifted(eta_psi.revert()).truncated(order - 1)

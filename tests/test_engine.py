@@ -21,7 +21,7 @@ from cfree.engine import (
 )
 from cfree.errors import DomainError, InternalError
 from cfree.linearize import linearize
-from cfree.multiplicative import _advance, mgf_product_phi, subordination_pair
+from cfree.multiplicative import mgf_product_phi, subordination_pair
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, gq
 from cfree.selfcheck import oracle_moments
@@ -35,7 +35,7 @@ from cfree.twostate import (
     semicircle_moments,
 )
 
-from reference import word_resolvent
+from reference import advance_full, word_resolvent
 
 
 def std_spec(order):
@@ -413,8 +413,8 @@ def test_online_subordination_equals_iterated_advance():
             omega_x, omega_y = zero, zero
             for _ in range(order + 2):
                 omega_x, omega_y = (
-                    _advance(eta_y, omega_y),
-                    _advance(eta_x, omega_x),
+                    advance_full(eta_y, omega_y),
+                    advance_full(eta_x, omega_x),
                 )
             pair = subordination_pair(spec, order)
             assert (pair.omega_x, pair.omega_y) == (omega_x, omega_y), (seed, order)

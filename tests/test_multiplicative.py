@@ -2,12 +2,16 @@
 
 Oracle values are always psi((xy)^n) / phi((xy)^n) computed by direct
 word-moment evaluation; the generating-function side must reproduce
-them exactly.
+them exactly.  sigma_transform, mgf_product_phi and the certificate
+sweep compute only the coefficients they return; their full-order
+forms in tests/reference.py must agree with them exactly.
 """
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfree.condexp import efree_rec, rqce
 from cfree.cumulants import (
@@ -15,23 +19,26 @@ from cfree.cumulants import (
     boolean_from_moments,
     eta_series,
 )
-from cfree.errors import DomainError
+from cfree.errors import DomainError, InternalError
 from cfree.multiplicative import (
     SubordinationPair,
+    _advance,
     mgf_product_phi,
     sigma_transform,
     subordination_pair,
 )
 from cfree.ncpoly import NCPolynomial
-from cfree.scalars import GQ_ONE, GQ_ZERO
+from cfree.scalars import GQ_ONE, GQ_ZERO, gq
 from cfree.selfcheck import nonzero_mean_spec
-from cfree.series import TruncSeries
+from cfree.series import TruncSeries, settle
 from cfree.twostate import (
     TwoStateSpec,
     point_mass_moments,
     random_spec,
     semicircle_moments,
 )
+
+from reference import advance_full, mgf_product_phi_full, sigma_transform_full
 
 
 def product_moments(spec, state, count, guard=None):
@@ -143,6 +150,81 @@ def test_sigma_unit_and_errors():
     with pytest.raises(DomainError):
         sigma_transform((pm_phi, pm_psi), 7)
     assert sigma_transform((pm_phi, pm_psi), 4).order == 3
+    # order 1: the constant symbol, the phi-mean; and the same errors
+    assert sigma_transform((pm_phi, pm_psi), 1) == TruncSeries.constant(GQ_ONE, 0)
+    with pytest.raises(DomainError):
+        sigma_transform((pm_phi, sc), 1)
+    empty = (MomentSeq((), "phi"), MomentSeq((), "psi"))
+    with pytest.raises(DomainError):
+        sigma_transform(empty, 1)
+    with pytest.raises(DomainError):
+        sigma_transform((pm_phi, empty[1]), 1)
+
+
+def test_sigma_reads_the_marginals_only_to_the_order():
+    spec = nonzero_mean_spec(random.Random(29), 12)
+    for ch in "xy":
+        full = (spec.marginal(ch, "phi"), spec.marginal(ch, "psi"))
+        for order in range(1, 13):
+            cut = tuple(MomentSeq(m.values[:order], m.state) for m in full)
+            assert sigma_transform(cut, order) == sigma_transform(full, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), order=st.integers(0, 8))
+@example(seed=0, order=0)
+@example(seed=0, order=1)
+def test_cut_routines_equal_their_full_order_references(seed, order):
+    rng = random.Random(seed)
+    spec = nonzero_mean_spec(rng, 8)
+    assert mgf_product_phi(spec, order) == mgf_product_phi_full(spec, order)
+    # the sweep on the solved pair and on an arbitrary inner series
+    pair = subordination_pair(spec, order)
+    anything = TruncSeries(
+        [GQ_ZERO] + [gq(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(order)]
+    )
+    for ch, omega in (("x", pair.omega_x), ("y", pair.omega_y), ("x", anything)):
+        eta = spec.eta(ch, "psi", max(order, 1))
+        assert _advance(eta, omega) == advance_full(eta, omega)
+    for marginal in (
+        (spec.marginal("x", "phi"), spec.marginal("x", "psi")),
+        (spec.marginal("y", "phi"), spec.marginal("y", "psi")),
+    ):
+        if order == 0:
+            for sigma in (sigma_transform, sigma_transform_full):
+                with pytest.raises(DomainError):
+                    sigma(marginal, order)
+        else:
+            assert sigma_transform(marginal, order) == sigma_transform_full(
+                marginal, order
+            )
+
+
+def test_sweep_certifies_the_top_coefficient_of_each_series():
+    # The cut sweep reads each series below z^N only, but it returns
+    # every coefficient to z^N: a wrong top coefficient of either block
+    # must still fail the certificate.
+    spec = nonzero_mean_spec(random.Random(3), 8)
+    order = 6
+    pair = subordination_pair(spec, order)
+    eta_x, eta_y = (spec.eta(ch, "psi", order) for ch in "xy")
+
+    def sweep(grown, t):
+        return _advance(eta_y, grown[1]), _advance(eta_x, grown[0])
+
+    def replay(wrong):
+        def step(blocks, t):
+            c = (pair.omega_x.coeff(t), pair.omega_y.coeff(t))
+            if t == order and wrong is not None:
+                return tuple(v + GQ_ONE if k == wrong else v for k, v in enumerate(c))
+            return c
+
+        return step
+
+    assert settle(replay(None), sweep, 2, order) == (pair.omega_x, pair.omega_y)
+    for wrong in (0, 1):
+        with pytest.raises(InternalError):
+            settle(replay(wrong), sweep, 2, order)
 
 
 def test_product_resolvent_conditional_expectation():

@@ -54,6 +54,25 @@ def test_scalar_action():
     assert (p * Fraction(1, 2)).coeff("xy") == gq(Fraction(1, 2))
 
 
+def test_every_exact_scalar_adds_subtracts_and_compares():
+    half = Fraction(1, 2)
+    x = parse_poly("x")
+    for scalar in (half, gq(half), 3, GQ_I):
+        c = NCPolynomial.scalar(scalar)
+        assert x + scalar == scalar + x == x + c
+        assert x - scalar == x - c
+        assert scalar - x == c - x
+        assert c == scalar and scalar == c
+    assert parse_poly("1/2") == half
+    assert parse_poly("x") != half
+    # anything else is left to Python: no sum, and unequal
+    with pytest.raises(TypeError):
+        x + 0.5
+    with pytest.raises(TypeError):
+        "x" - x
+    assert parse_poly("1/2") != 0.5
+
+
 def test_pow():
     assert X ** 0 == ONE
     assert X ** 3 == NCPolynomial.word("xxx")
