@@ -299,7 +299,7 @@ def _build_parser():
         "--order",
         type=int,
         required=True,
-        help="symbol order; the spec must cover twice this",
+        help="symbol order; the spec must cover it",
     )
     p.set_defaults(handler=_cmd_sigma)
 

@@ -19,6 +19,8 @@ sigma_transform computes the multiplicative symbol of a single pair of
 marginals: the shifted phi-Boolean transform reparametrized by the
 compositional inverse of the psi-Boolean transform.  Its defining
 property, checked in the tests, is multiplicativity over the product.
+sigma_symbols builds the product's symbol from the factorization above,
+so it reads no word moment and needs spec order n for symbols of order n.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "SubordinationPair",
     "subordination_pair",
     "mgf_product_phi",
-    "product_marginals",
     "sigma_transform",
     "sigma_symbols",
 ]
@@ -104,9 +105,15 @@ def mgf_product_phi(spec, order):
     """
     _check_order(spec, order)
     pair = subordination_pair(spec, max(order - 1, 0))
+    return geometric(_phi_symbol(spec, pair, order), order)
+
+
+def _phi_symbol(spec, pair, order):
+    """etat^phi_X(omega_X) etat^phi_Y(omega_Y) at the pair's order, the
+    shifted phi-Boolean transform of XY: exact below z^order."""
     tx = spec.eta("x", "phi", order).compose_shifted(pair.omega_x)
     ty = spec.eta("y", "phi", order).compose_shifted(pair.omega_y)
-    return geometric(tx * ty, order)
+    return tx * ty
 
 
 def sigma_transform(marginal, order):
@@ -135,24 +142,16 @@ def sigma_transform(marginal, order):
     return eta_phi.compose_shifted(eta_psi.revert().truncated(order - 1))
 
 
-def product_marginals(spec, order):
-    """The (phi, psi) moments of XY to the order; needs spec order 2*order."""
-    phi_series = mgf_product_phi(spec, order)
-    phi = MomentSeq([phi_series.coeff(n) for n in range(1, order + 1)], "phi")
-    psi = MomentSeq(
-        [
-            spec.moment("psi", "xy" * n, guard=2 * order)
-            for n in range(1, order + 1)
-        ],
-        "psi",
-    )
-    return phi, psi
-
-
 def sigma_symbols(spec, order):
-    """The symbols (sigma_X, sigma_Y, sigma_XY); sigma_XY = sigma_X sigma_Y."""
+    """The symbols (sigma_X, sigma_Y, sigma_XY); sigma_XY = sigma_X sigma_Y.
+
+    sigma_XY reparametrizes _phi_symbol by the inverse of eta^psi_X(omega_X),
+    the pair solved at order - 1 (at least 1, for the reversion)."""
     s_x, s_y = (
         sigma_transform((spec.marginal(ch, "phi"), spec.marginal(ch, "psi")), order)
         for ch in "xy"
     )
-    return s_x, s_y, sigma_transform(product_marginals(spec, order), order)
+    pair = subordination_pair(spec, max(order - 1, 1))
+    eta_psi = spec.eta("x", "psi", pair.order).compose(pair.omega_x)
+    inverse = eta_psi.revert().truncated(order - 1)
+    return s_x, s_y, _phi_symbol(spec, pair, order).compose(inverse)

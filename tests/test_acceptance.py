@@ -36,11 +36,7 @@ from cfree.linearize import (
     geometric_corner,
     linearize,
 )
-from cfree.multiplicative import (
-    product_marginals,
-    sigma_symbols,
-    subordination_pair,
-)
+from cfree.multiplicative import sigma_symbols, subordination_pair
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.partitions import (
     enumerate_nc,
@@ -272,7 +268,9 @@ def test_criterion_7_sigma_transform():
     for trial in range(2):
         spec = nonzero_mean_spec(rng, 16)
         pair = subordination_pair(spec, 8)
-        _, product = product_marginals(spec, 8)
+        product = MomentSeq(
+            [spec.moment("psi", "xy" * n, guard=16) for n in range(1, 9)], "psi"
+        )
         lhs = eta_series(boolean_from_moments(product))
         assert lhs == spec.eta("x", "psi", order=8).compose(pair.omega_x)
         assert lhs == spec.eta("y", "psi", order=8).compose(pair.omega_y)

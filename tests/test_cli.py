@@ -564,20 +564,27 @@ def test_sigma_unit(spec_files, capsys):
     )
 
 
-def test_sigma_readme_example(tmp_path, capsys):
-    # README prints this prod.json and the line below
+@pytest.mark.parametrize("order", [0, 4, 5, 8, 9])
+def test_sigma_readme_example(order, tmp_path, capsys):
+    # README prints this prod.json (order 8) and the order-4 line below;
+    # every order up to the spec order answers, none beyond it
     root = pathlib.Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")
     spec = re.search(r"```json\n(.*?)```", readme.split("prod.json", 1)[1], re.S)
     path = tmp_path / "prod.json"
     path.write_text(spec.group(1), encoding="utf-8")
-    code, out, _ = run(capsys, "sigma", "--spec", str(path), "--order", "4")
-    assert code == 0
-    assert out == (
-        '{"sigma_x":["1","1","0","0"],"sigma_y":["2","1/2","3/8","3/16"],'
-        '"sigma_xy":["2","5/2","7/8","9/16"],"residual":["0","0","0","0"]}\n'
-    )
-    assert "$ cfree sigma --spec prod.json --order 4\n" + out in readme
+    code, out, err = run(capsys, "sigma", "--spec", str(path), "--order", str(order))
+    if order in (0, 9):
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        return
+    assert (code, err) == (0, "")
+    assert json.loads(out)["residual"] == ["0"] * order
+    if order == 4:
+        assert out == (
+            '{"sigma_x":["1","1","0","0"],"sigma_y":["2","1/2","3/8","3/16"],'
+            '"sigma_xy":["2","5/2","7/8","9/16"],"residual":["0","0","0","0"]}\n'
+        )
+        assert "$ cfree sigma --spec prod.json --order 4\n" + out in readme
 
 
 def test_sigma_zero_mean_is_domain_error(spec_files, capsys):

@@ -92,7 +92,7 @@ SLOW_REFERENCES = {
     "series with eta compositions up to an order",
     "scalars.gq": "the short constructor the tests write exact values with",
     "twostate.hankel_warnings": "positivity diagnostics on the marginals, "
-    "waiting for the --stats report of ROADMAP item 6",
+    "waiting for the --stats report of ROADMAP item 9",
 }
 
 

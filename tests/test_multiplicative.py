@@ -7,7 +7,9 @@ sweep compute only the coefficients they return; their full-order
 forms in tests/reference.py must agree with them exactly.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,11 +26,12 @@ from cfree.multiplicative import (
     SubordinationPair,
     _advance,
     mgf_product_phi,
+    sigma_symbols,
     sigma_transform,
     subordination_pair,
 )
 from cfree.ncpoly import NCPolynomial
-from cfree.scalars import GQ_ONE, GQ_ZERO, gq
+from cfree.scalars import GQ_ONE, GQ_ZERO, GaussianRational, gq
 from cfree.selfcheck import nonzero_mean_spec
 from cfree.series import TruncSeries, settle
 from cfree.twostate import (
@@ -134,6 +137,37 @@ def test_sigma_is_multiplicative():
             7,
         )
         assert sxy == (sx * sy).truncated(6)
+
+
+def prime_power_spec(rng, order):
+    """Gaussian-rational marginals over prime-power denominators, whose
+    psi-means have a nonzero imaginary part."""
+
+    def part(low=-20):
+        prime_power = rng.choice((2, 3, 5, 7)) ** rng.randint(0, 3)
+        return Fraction(rng.randint(low, 20), prime_power)
+
+    def seq(state):
+        values = [GaussianRational(part(), part()) for _ in range(order)]
+        values[0] = GaussianRational(part(), part(1))
+        return MomentSeq(values, state)
+
+    return TwoStateSpec(order, seq("psi"), seq("psi"), seq("phi"), seq("phi"))
+
+
+def test_sigma_symbols_equal_the_symbol_of_the_oracle_moments():
+    # sigma_XY from the solved pair against sigma_transform on phi((xy)^n)
+    # and psi((xy)^n) read from the word oracle, at spec order 2n
+    rng = random.Random(41)
+    for order, _, make in itertools.product(
+        range(1, 8), range(3), (nonzero_mean_spec, prime_power_spec)
+    ):
+        spec = make(rng, 2 * order)
+        oracle = tuple(
+            product_moments(spec, state, order, guard=2 * order)
+            for state in ("phi", "psi")
+        )
+        assert sigma_symbols(spec, order)[2] == sigma_transform(oracle, order)
 
 
 def test_sigma_unit_and_errors():
