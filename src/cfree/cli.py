@@ -23,7 +23,7 @@ import json
 import sys
 
 from .condexp import efree_rec, efree_resolvent, rqce, rqce_resolvent
-from .cumulants import cfree_from_two_moments, free_from_moments
+from .cumulants import free_from_moments
 from .denoise import distributions_of_poly, l2_project, weighted_state
 from .engine import poly_distribution
 from .errors import CFreeError, InternalError, ParseError
@@ -99,11 +99,10 @@ def _cmd_cumulants(args):
     elif args.state is not None:
         raise ParseError("--state applies only to Boolean cumulants")
     elif args.kind == "free":
+        # kept: perfbench/test_tracing.py asserts cli.free_from_moments
         seq = free_from_moments(spec.marginal(args.letter, "psi"))
     else:
-        seq = cfree_from_two_moments(
-            spec.marginal(args.letter, "phi"), spec.marginal(args.letter, "psi")
-        )
+        seq = spec.cfree_cumulants(args.letter)
     values = _strings(seq.values)
     label = "%s cumulants of %s" % (seq.kind, args.letter)
     if args.format == "json":

@@ -14,8 +14,8 @@ transform.  A CumulantTable grows the table one index at a time, and each
 sequence only to the order read; the whole table to order N costs
 O(N^3).  The inverse maps revert g through h(w) = w / (1 + R(w)), its
 compositional inverse: M = g / z and M_phi = 1 / (1 - z Rc(g)).  Every
-map is exact over Q(i).  The partition sums below (partition_weight,
-partitioned_functional) are the definitions; the tests sum them over
+map is exact over Q(i).  The partition sums that define the cumulants
+live with the tests (tests/reference.py), which sum them over
 noncrossing partitions as the slow, independent cross-check of these
 identities.
 """
@@ -23,7 +23,6 @@ identities.
 from __future__ import annotations
 
 from .errors import DomainError, Frozen
-from .partitions import enumerate_interval, outer_inner
 from .scalars import GQ_ONE, GQ_ZERO, as_gaussian
 from .series import Powers, TruncSeries, cauchy, geometric
 
@@ -220,77 +219,3 @@ def cfree_from_two_moments(m_phi, m_psi):
         raise DomainError("orders differ")
     table = CumulantTable(m_psi.values, m_phi.values)
     return CumulantSeq(table.cfrees(m_phi.order), "cfree")
-
-
-def partition_weight(p, seq):
-    """prod over blocks V of seq_{|V|} for a single cumulant sequence."""
-    value = GQ_ONE
-    for block in p.blocks:
-        value = value * seq.value(len(block))
-    return value
-
-
-def partition_weight_outer_inner(p, outer_seq, inner_seq):
-    """Outer blocks weighted by one sequence, inner blocks by the other."""
-    outer, inner = outer_inner(p)
-    value = GQ_ONE
-    for block in outer:
-        value = value * outer_seq.value(len(block))
-    for block in inner:
-        value = value * inner_seq.value(len(block))
-    return value
-
-
-def partitioned_functional(fn, p, args):
-    """prod over blocks of a multilinear functional on restricted args."""
-    if len(args) != p.n:
-        raise DomainError("argument count differs from ground set")
-    value = GQ_ONE
-    for block in p.blocks:
-        value = value * fn(tuple(args[i - 1] for i in block))
-    return value
-
-
-def _cut_set(p):
-    """Positions k with a block boundary between k and k+1 (intervals only)."""
-    if not p.is_interval():
-        raise DomainError("expected an interval partition")
-    return {b[-1] for b in p.blocks} - {p.n}
-
-
-def boolean_products_join(beta, rho, args):
-    """Products-as-entries via the interval-lattice join condition.
-
-    beta_m(prod_1, ..., prod_m) = sum of beta_pi over interval partitions
-    pi of the letters whose cuts avoid every cut of rho.
-    """
-    forbidden = _cut_set(rho)
-    if len(args) != rho.n:
-        raise DomainError("argument count differs from ground set")
-    total = GQ_ZERO
-    for p in enumerate_interval(rho.n):
-        if _cut_set(p) & forbidden:
-            continue
-        total = total + partitioned_functional(beta, p, args)
-    return total
-
-
-def boolean_products_recursive(beta, rho, args):
-    """Products-as-entries by splitting off the leftmost cumulant block."""
-    _cut_set(rho)
-    if len(args) != rho.n:
-        raise DomainError("argument count differs from ground set")
-    ends = [b[-1] for b in rho.blocks]
-
-    def rec(atoms, ends):
-        total = beta(tuple(atoms))
-        prev = 0
-        for k, dk in enumerate(ends):
-            for j in range(prev + 1, dk):
-                left = beta(tuple(atoms[:j]))
-                rest = rec(atoms[j:], [e - j for e in ends[k:]])
-                total = total + left * rest
-            prev = dk
-        return total
-
-    return rec(list(args), ends)

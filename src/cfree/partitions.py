@@ -61,9 +61,6 @@ class SetPartition(Frozen):
     def same_block(self, p, q):
         return self.block_of(p) is self.block_of(q)
 
-    def is_interval(self):
-        return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
-
     def leq(self, other):
         """Refinement: every block of self lies inside a block of other."""
         if self.n != other.n:

@@ -162,11 +162,6 @@ GQ_ONE = GaussianRational(1)
 GQ_I = GaussianRational(0, 1)
 
 
-def gq(re=0, im=0):
-    """Shorthand constructor used pervasively in tests."""
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
 # ---------------------------------------------------------------------------
 # parsing and printing
 #

@@ -52,14 +52,6 @@ class TruncSeries(Frozen):
         zero = value.zero_like()
         return cls((value,) + (zero,) * order)
 
-    @classmethod
-    def variable(cls, order, one=GQ_ONE):
-        """The series z, to the requested order (>= 1)."""
-        if order < 1:
-            raise DomainError("the variable needs order >= 1")
-        zero = one.zero_like()
-        return cls((zero, one) + (zero,) * (order - 1))
-
     def coeff(self, k):
         return self.coeffs[k]
 
@@ -109,19 +101,12 @@ class TruncSeries(Frozen):
         """Multiply by z^k, dropping whatever overflows the order."""
         if k < 0:
             raise DomainError("negative shift")
-        zero = self.coeffs[0].zero_like()
-        kept = self.coeffs[: len(self.coeffs) - k]
-        return TruncSeries((zero,) * k + kept)
+        n = len(self.coeffs)
+        k = min(k, n)
+        return TruncSeries((self.coeffs[0].zero_like(),) * k + self.coeffs[: n - k])
 
     def map(self, fn):
         return TruncSeries(tuple(fn(c) for c in self.coeffs))
-
-    def agrees_with(self, other, order=None):
-        """Coefficientwise equality up to the smaller (or given) order."""
-        n = self._common_order(other)
-        if order is not None:
-            n = min(n, order)
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(n + 1))
 
     # -- the three structural operations ---------------------------------
 

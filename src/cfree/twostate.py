@@ -277,47 +277,6 @@ def partial_block_boolean(spec, state, letter, word, guard=None):
     return block_boolean(spec, state, word, guard)
 
 
-def letterwise_boolean(spec, state, word):
-    """Boolean cumulant with the individual letters as entries."""
-    check_word(word)
-    if word == "":
-        return GQ_ONE
-    return multilinear_boolean(spec, state, list(word))
-
-
-def partial_letterwise_boolean(spec, state, letter, word):
-    check_word(letter)
-    check_word(word)
-    if word == "":
-        return GQ_ONE
-    if word[0] != letter or word[-1] != letter:
-        return GQ_ZERO
-    return letterwise_boolean(spec, state, word)
-
-
-def block_boolean_poly(spec, state, poly, partial=None):
-    """Linear extension over a polynomial's monomials."""
-    total = GQ_ZERO
-    for word, coeff in poly.terms.items():
-        if partial is None:
-            value = block_boolean(spec, state, word)
-        else:
-            value = partial_block_boolean(spec, state, partial, word)
-        total = total + coeff * value
-    return total
-
-
-def letterwise_boolean_poly(spec, state, poly, partial=None):
-    total = GQ_ZERO
-    for word, coeff in poly.terms.items():
-        if partial is None:
-            value = letterwise_boolean(spec, state, word)
-        else:
-            value = partial_letterwise_boolean(spec, state, partial, word)
-        total = total + coeff * value
-    return total
-
-
 def nested_two_state_boolean(spec, p, args):
     """Outer blocks under phi, inner under psi."""
     if len(args) != p.n:

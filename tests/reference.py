@@ -1,15 +1,67 @@
-"""Slow reference code that only the tests call.
+"""Slow reference code and short constructors that only the tests call.
 
 Each helper is an independent route to something the library computes
-faster, or a definition the library never needs at run time; the tests
-check the fast paths against these.
+faster, such as the partition sums that define the cumulants (Nica-
+Speicher, Lect. 16), or a definition or constructor the library never
+needs at run time, such as gq, variable and std_spec; the tests check
+the fast paths against these.
 """
 
+from fractions import Fraction
+from math import prod
+
 from cfree.cumulants import boolean_from_moments, eta_series
+from cfree.errors import DomainError
 from cfree.multiplicative import subordination_pair
-from cfree.ncpoly import NCPolynomial
-from cfree.partitions import SetPartition, outer_inner
+from cfree.ncpoly import NCPolynomial, check_word
+from cfree.partitions import SetPartition, enumerate_interval, outer_inner
+from cfree.scalars import GQ_ONE, GQ_ZERO, GaussianRational
 from cfree.series import SquareMatrix, TruncSeries, geometric
+from cfree.twostate import (
+    TwoStateSpec,
+    atom_moments,
+    block_boolean,
+    multilinear_boolean,
+    partial_block_boolean,
+    semicircle_moments,
+)
+
+
+def gq(re=0, im=0):
+    """The exact scalar re + i*im."""
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
+def variable(order):
+    """The series z, to the requested order (>= 1)."""
+    if order < 1:
+        raise DomainError("the variable needs order >= 1")
+    return TruncSeries((GQ_ZERO, GQ_ONE) + (GQ_ZERO,) * (order - 1))
+
+
+def gq_list(values):
+    """Exact scalars of a list of ints and Fractions."""
+    return [gq(v) for v in values]
+
+
+def bernoulli_moments(order):
+    """The symmetric Bernoulli: atoms -1 and 1 of weight 1/2 each."""
+    return atom_moments(((-1, Fraction(1, 2)), (1, Fraction(1, 2))), order)
+
+
+def std_spec(order):
+    """x a standard semicircle, y a symmetric Bernoulli, phi = psi."""
+    return TwoStateSpec(
+        order, semicircle_moments(1, order), bernoulli_moments(order)
+    )
+
+
+def apply_linear(spec, fn, poly):
+    """Extend a word-level map linearly over a polynomial's monomials."""
+    out = NCPolynomial.zero()
+    for word, coeff in poly.terms.items():
+        out = out + coeff * fn(spec, word).poly
+    return out
 
 
 def discrete(n):
@@ -40,12 +92,105 @@ def is_irreducible(p):
     return p.same_block(1, p.n)
 
 
+def is_interval(p):
+    """Every block a run of consecutive points."""
+    return all(b[-1] - b[0] + 1 == len(b) for b in p.blocks)
+
+
 def interval_closure(p):
     """Smallest interval partition above p: convex hulls of outer blocks."""
     outer, _ = outer_inner(p)
-    return SetPartition(
-        p.n, [tuple(range(b[0], b[-1] + 1)) for b in outer]
-    )
+    return SetPartition(p.n, [tuple(range(b[0], b[-1] + 1)) for b in outer])
+
+
+def partition_weight(p, seq):
+    """prod over blocks V of seq_{|V|} for a single cumulant sequence."""
+    return prod((seq.value(len(b)) for b in p.blocks), start=GQ_ONE)
+
+
+def partition_weight_outer_inner(p, outer_seq, inner_seq):
+    """Outer blocks weighted by one sequence, inner blocks by the other."""
+    outer, inner = outer_inner(p)
+    weights = [outer_seq.value(len(b)) for b in outer]
+    weights += [inner_seq.value(len(b)) for b in inner]
+    return prod(weights, start=GQ_ONE)
+
+
+def partitioned_functional(fn, p, args):
+    """prod over blocks of a multilinear functional on restricted args."""
+    if len(args) != p.n:
+        raise DomainError("argument count differs from ground set")
+    blocks = (tuple(args[i - 1] for i in b) for b in p.blocks)
+    return prod(map(fn, blocks), start=GQ_ONE)
+
+
+def _cut_set(p, args):
+    """Positions k with a block boundary between k and k+1, for an
+    interval partition p of the arguments."""
+    if not is_interval(p) or len(args) != p.n:
+        raise DomainError("expected an interval partition of the arguments")
+    return {b[-1] for b in p.blocks} - {p.n}
+
+
+def boolean_products_join(beta, rho, args):
+    """Products-as-entries via the interval-lattice join condition.
+
+    beta_m(prod_1, ..., prod_m) = sum of beta_pi over interval partitions
+    pi of the letters whose cuts avoid every cut of rho.
+    """
+    forbidden = _cut_set(rho, args)
+    total = GQ_ZERO
+    for p in enumerate_interval(rho.n):
+        if not _cut_set(p, args) & forbidden:
+            total = total + partitioned_functional(beta, p, args)
+    return total
+
+
+def boolean_products_recursive(beta, rho, args):
+    """Products-as-entries by splitting off the leftmost cumulant block."""
+    _cut_set(rho, args)
+    ends = [b[-1] for b in rho.blocks]
+
+    def rec(atoms, ends):
+        total = beta(tuple(atoms))
+        prev = 0
+        for k, dk in enumerate(ends):
+            for j in range(prev + 1, dk):
+                left = beta(tuple(atoms[:j]))
+                rest = rec(atoms[j:], [e - j for e in ends[k:]])
+                total = total + left * rest
+            prev = dk
+        return total
+
+    return rec(list(args), ends)
+
+
+def letterwise_boolean(spec, state, word, partial=None):
+    """Boolean cumulant with the individual letters as entries; given a
+    partial letter, zero on nonempty words it does not frame."""
+    check_word(word)
+    if partial is not None:
+        check_word(partial)
+        if word and not word[0] == word[-1] == partial:
+            return GQ_ZERO
+    return multilinear_boolean(spec, state, list(word)) if word else GQ_ONE
+
+
+def _linear(poly, fn, *head):
+    """fn(*head, word) extended linearly over a polynomial's monomials."""
+    return sum((c * fn(*head, w) for w, c in poly.terms.items()), GQ_ZERO)
+
+
+def block_boolean_poly(spec, state, poly, partial=None):
+    """(partial_)block_boolean extended linearly: the engine's H blocks."""
+    if partial is None:
+        return _linear(poly, block_boolean, spec, state)
+    return _linear(poly, partial_block_boolean, spec, state, partial)
+
+
+def letterwise_boolean_poly(spec, state, poly, partial=None):
+    """letterwise_boolean extended linearly: the engine's F blocks."""
+    return _linear(poly, lambda w: letterwise_boolean(spec, state, w, partial))
 
 
 def closure_check(elements, leq, close, f, g):

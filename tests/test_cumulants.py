@@ -7,16 +7,11 @@ from cfree.cumulants import (
     CumulantSeq,
     MomentSeq,
     boolean_from_moments,
-    boolean_products_join,
-    boolean_products_recursive,
     cfree_from_two_moments,
     eta_series,
     free_from_moments,
     moments_from_boolean,
     moments_from_free,
-    partition_weight,
-    partition_weight_outer_inner,
-    partitioned_functional,
     phi_moments_from_cfree,
 )
 from cfree.errors import DomainError
@@ -26,10 +21,20 @@ from cfree.partitions import (
     enumerate_nc,
     is_ll,
 )
-from cfree.scalars import GQ_ONE, GQ_ZERO, gq
+from cfree.scalars import GQ_ONE, GQ_ZERO
 from cfree.series import TruncSeries
 
-from reference import closure_check, discrete, interval_closure
+from reference import (
+    boolean_products_join,
+    boolean_products_recursive,
+    closure_check,
+    discrete,
+    gq,
+    interval_closure,
+    partition_weight,
+    partition_weight_outer_inner,
+    partitioned_functional,
+)
 
 
 def mseq(*ints, state="psi"):

@@ -24,33 +24,18 @@ from cfree.denoise import (
 from cfree.engine import poly_distribution
 from cfree.errors import DomainError
 from cfree.ncpoly import NCPolynomial, parse_poly
-from cfree.scalars import GQ_ONE, GQ_ZERO, GaussianRational, gq
+from cfree.scalars import GQ_ONE, GQ_ZERO, GaussianRational
 from cfree.twostate import (
     TwoStateSpec,
-    atom_moments,
     multilinear_boolean,
     point_mass_moments,
     semicircle_moments,
     vnrp_boolean_phi,
 )
 
+from reference import bernoulli_moments, gq, gq_list, std_spec
+
 COMMUTATOR = parse_poly("i*(x*y - y*x)")
-
-
-def bernoulli_moments(order):
-    return atom_moments(
-        ((-1, Fraction(1, 2)), (1, Fraction(1, 2))), order
-    )
-
-
-def std_spec(order):
-    return TwoStateSpec(
-        order, semicircle_moments(1, order), bernoulli_moments(order)
-    )
-
-
-def gq_list(values):
-    return [GaussianRational(v) for v in values]
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,11 @@ from cfree.linearize import linearize
 from cfree.multiplicative import subordination_pair
 from cfree.ncpoly import NCPolynomial, parse_poly
 from cfree.partitions import SetPartition, enumerate_nc
-from cfree.scalars import GQ_ONE, GaussianRational, as_gaussian, gq
+from cfree.scalars import GQ_ONE, GaussianRational, as_gaussian
 from cfree.series import SquareMatrix, TruncSeries
 from cfree.twostate import TwoStateSpec, semicircle_moments
+
+from reference import gq
 
 
 def _spec():

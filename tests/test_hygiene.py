@@ -1,6 +1,6 @@
-"""Source hygiene: every name a cfree module or a test module imports is
-used or exported, and every name a cfree module defines has a caller
-outside the tests."""
+"""Source hygiene: every imported name is used or exported, every name a
+cfree module defines has a caller outside the tests, and every helper in
+tests/reference.py has a test that reads it."""
 
 import ast
 import pathlib
@@ -70,27 +70,10 @@ def test_no_unused_imports(path):
 ROOT = PACKAGE.parents[1]
 
 # Names that nothing in src/, perfbench/ or README.md reaches, kept on
-# purpose.  Each is an independent slow path that the tests check a fast
-# one against, or says what else keeps it.  Delete an entry when its name
-# gains a caller or goes away; the last test below insists on that.
+# purpose, each with what keeps it; code that only the tests read lives in
+# tests/reference.py.  Delete an entry when its name gains a caller or goes
+# away; test_slow_references_are_still_only_reached_by_tests insists.
 SLOW_REFERENCES = {
-    "cumulants.boolean_products_recursive": "the interval-product "
-    "identity that cross-checks block_boolean against letterwise cumulants",
-    "cumulants.boolean_products_join": "the same identity by the "
-    "interval-lattice join condition, against boolean_products_recursive",
-    "cumulants.partition_weight": "the free-cumulant partition sum that "
-    "cross-checks free_from_moments and moments_from_free",
-    "cumulants.partition_weight_outer_inner": "the outer/inner partition "
-    "sum that cross-checks cfree_from_two_moments",
-    "twostate.block_boolean_poly": "the block Boolean functionals that "
-    "cross-check the engine's H blocks",
-    "twostate.letterwise_boolean_poly": "the letterwise Boolean "
-    "functionals that cross-check the engine's F blocks",
-    "series.TruncSeries.variable": "the series z, against which the "
-    "tests check composition, reversion and subordination",
-    "series.TruncSeries.agrees_with": "compares the solved subordination "
-    "series with eta compositions up to an order",
-    "scalars.gq": "the short constructor the tests write exact values with",
     "twostate.hankel_warnings": "positivity diagnostics on the marginals, "
     "waiting for the --stats report of ROADMAP item 9",
 }
@@ -198,6 +181,18 @@ def test_every_library_name_has_a_caller_outside_the_tests():
 def test_slow_references_are_still_only_reached_by_tests():
     stale = sorted(set(SLOW_REFERENCES) - set(library_unreferenced()))
     assert not stale, "drop these SLOW_REFERENCES entries: %s" % ", ".join(stale)
+
+
+def test_every_reference_has_a_test_reader():
+    readers = set()
+    for path in TESTS:
+        if path.name.startswith("test_"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            readers.update(word for word, _ in names_in(tree))
+    path = pathlib.Path(__file__).with_name("reference.py")
+    source = path.read_text(encoding="utf-8")
+    found = unreferenced({"reference": source}, readers)
+    assert not found, "no test reads these; delete them: %s" % ", ".join(found)
 
 
 # -- one immutability policy --------------------------------------------------

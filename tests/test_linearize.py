@@ -5,8 +5,10 @@ import pytest
 from cfree.errors import DomainError
 from cfree.linearize import Linearization, geometric_corner, linearize
 from cfree.ncpoly import NCPolynomial, parse_poly
-from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO, gq
+from cfree.scalars import GQ_I, GQ_ONE, GQ_ZERO
 from cfree.series import SquareMatrix
+
+from reference import gq
 
 X = NCPolynomial.letter("x")
 Y = NCPolynomial.letter("y")

@@ -11,7 +11,9 @@ from cfree.ncpoly import (
     format_poly,
     parse_poly,
 )
-from cfree.scalars import GQ_I, GQ_ONE, gq
+from cfree.scalars import GQ_I, GQ_ONE
+
+from reference import gq
 
 X = NCPolynomial.letter("x")
 Y = NCPolynomial.letter("y")

@@ -27,6 +27,7 @@ from reference import (
     closure_check,
     discrete,
     interval_closure,
+    is_interval,
     is_irreducible,
     is_noncrossing,
 )
@@ -89,8 +90,8 @@ def test_discrete_full():
 def test_predicates():
     assert is_noncrossing(part(4, (1, 4), (2, 3)))
     assert not is_noncrossing(part(4, (1, 3), (2, 4)))
-    assert part(4, (1, 2), (3, 4)).is_interval()
-    assert not part(4, (1, 4), (2, 3)).is_interval()
+    assert is_interval(part(4, (1, 2), (3, 4)))
+    assert not is_interval(part(4, (1, 4), (2, 3)))
     assert is_irreducible(part(4, (1, 4), (2, 3)))
     assert not is_irreducible(part(4, (1, 2), (3, 4)))
 
@@ -131,7 +132,7 @@ def test_enumeration_against_brute_force():
         brute = [p for p in all_partitions(n) if is_noncrossing(p)]
         assert set(enumerate_nc(n)) == set(brute)
         assert set(enumerate_interval(n)) == {
-            p for p in brute if p.is_interval()
+            p for p in brute if is_interval(p)
         }
         assert set(enumerate_irreducible(n)) == {
             p for p in brute if is_irreducible(p)
@@ -248,7 +249,7 @@ def test_interval_closure_axioms():
         parts = enumerate_nc(n)
         for p in parts:
             c = interval_closure(p)
-            assert c.is_interval()
+            assert is_interval(c)
             assert p.leq(c)
             assert interval_closure(c) == c
         for p in parts:

@@ -30,13 +30,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfree.cumulants import (
-    CumulantSeq,
-    CumulantTable,
-    MomentSeq,
-    partition_weight,
-    partition_weight_outer_inner,
-)
+from cfree.cumulants import CumulantSeq, CumulantTable, MomentSeq
 from cfree.engine import _poly_moments, solve_fixed_point
 from cfree.errors import DomainError
 from cfree.ncpoly import NCPolynomial
@@ -45,6 +39,8 @@ from cfree.scalars import GaussianRational
 from cfree.selfcheck import oracle_moments
 from cfree.series import SquareMatrix, TruncSeries, geometric
 from cfree.twostate import TwoStateSpec, random_spec
+
+from reference import partition_weight, partition_weight_outer_inner
 
 COEFFS = (
     GaussianRational(1),

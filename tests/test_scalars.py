@@ -12,10 +12,11 @@ from cfree.scalars import (
     GQ_ZERO,
     GaussianRational,
     format_gaussian,
-    gq,
     parse_gaussian,
     parse_rational,
 )
+
+from reference import gq
 
 
 def test_field_arithmetic():

@@ -15,38 +15,33 @@ from cfree.partitions import (
     outer_inner,
     vnrp_closure,
 )
-from cfree.scalars import GQ_ONE, GQ_ZERO, gq
+from cfree.scalars import GQ_ONE, GQ_ZERO
 from cfree.twostate import (
     TwoStateSpec,
     atom_moments,
     block_boolean,
-    block_boolean_poly,
     dist_moments,
     hankel_warnings,
-    letterwise_boolean,
-    letterwise_boolean_poly,
     multilinear_boolean,
     nested_two_state_boolean,
     partial_block_boolean,
-    partial_letterwise_boolean,
     point_mass_moments,
     random_spec,
     semicircle_moments,
     spec_from_json,
     vnrp_boolean_phi,
 )
-from cfree.cumulants import MomentSeq, boolean_products_recursive
+from cfree.cumulants import MomentSeq
 
-from reference import closure_check
-
-
-def semicircle_bernoulli(order):
-    """x a standard semicircle, y a symmetric Bernoulli, phi = psi."""
-    return TwoStateSpec(
-        order,
-        semicircle_moments(1, order),
-        atom_moments([(1, gq(Fraction(1, 2))), (-1, gq(Fraction(1, 2)))], order),
-    )
+from reference import (
+    block_boolean_poly,
+    boolean_products_recursive,
+    closure_check,
+    gq,
+    letterwise_boolean,
+    letterwise_boolean_poly,
+    std_spec,
+)
 
 
 def pyramid_spec(order):
@@ -193,7 +188,7 @@ def test_marginal_distributions_frozen():
 
 
 def test_spec_marginals_and_cumulants():
-    spec = semicircle_bernoulli(6)
+    spec = std_spec(6)
     assert spec.marginal("x").values == semicircle_moments(1, 6).values
     assert spec.free_cumulants("x").values == tuple(
         gq(c) for c in (0, 1, 0, 0, 0, 0)
@@ -229,17 +224,17 @@ def test_cumulants_read_on_demand_change_no_answer():
 
 
 def test_moment_on_marginal_words():
-    spec = semicircle_bernoulli(8)
+    spec = std_spec(8)
     for n in range(1, 9):
         assert spec.moment("psi", "x" * n) == spec.marginal("x").moment(n)
         assert spec.moment("phi", "y" * n) == spec.marginal("y", "phi").moment(n)
 
 
 def test_moment_guards():
-    spec = semicircle_bernoulli(4)
+    spec = std_spec(4)
     with pytest.raises(DomainError):
         spec.moment("psi", "xyxyx")
-    big = semicircle_bernoulli(16)
+    big = std_spec(16)
     with pytest.raises(LimitError):
         big.moment("psi", "xy" * 8)
     assert big.moment("psi", "xy" * 8, guard=16) is not None
@@ -250,7 +245,7 @@ def test_moment_guards():
 
 
 def test_empty_word():
-    spec = semicircle_bernoulli(2)
+    spec = std_spec(2)
     assert spec.moment("psi", "") == GQ_ONE
     assert spec.moment("phi", "") == GQ_ONE
 
@@ -309,7 +304,7 @@ def test_phi_collapses_when_states_match():
 
 
 def test_commutator_moments():
-    spec = semicircle_bernoulli(8)
+    spec = std_spec(8)
     p = parse_poly("i*(x*y - y*x)")
     values = [spec.poly_moment("psi", p ** k) for k in range(1, 5)]
     assert values == [gq(0), gq(2), gq(0), gq(8)]
@@ -425,8 +420,8 @@ def test_partial_cumulants_split():
             y_part = partial_block_boolean(spec, state, "y", w)
             assert total == x_part + y_part
             lt = letterwise_boolean(spec, state, w)
-            lx = partial_letterwise_boolean(spec, state, "x", w)
-            ly = partial_letterwise_boolean(spec, state, "y", w)
+            lx = letterwise_boolean(spec, state, w, partial="x")
+            ly = letterwise_boolean(spec, state, w, partial="y")
             assert lt == lx + ly
     assert partial_block_boolean(spec, "psi", "x", "") == GQ_ONE
     assert partial_block_boolean(spec, "psi", "x", "x") == block_boolean(
@@ -468,9 +463,9 @@ def test_cumulant_polys():
     ) + gq(2) * block_boolean(spec, "psi", "x")
     assert letterwise_boolean_poly(
         spec, "psi", p, partial="x"
-    ) == partial_letterwise_boolean(
-        spec, "psi", "x", "xyx"
-    ) + gq(2) * partial_letterwise_boolean(spec, "psi", "x", "x")
+    ) == letterwise_boolean(
+        spec, "psi", "xyx", partial="x"
+    ) + gq(2) * letterwise_boolean(spec, "psi", "x", partial="x")
 
 
 # -- nested two-state cumulants and vnrp ---------------------------------------
@@ -632,7 +627,7 @@ def test_spec_from_json_rejects():
 
 
 def test_hankel_warnings():
-    clean = semicircle_bernoulli(6)
+    clean = std_spec(6)
     assert hankel_warnings(clean) == []
     bad = TwoStateSpec(
         4,
