@@ -25,7 +25,9 @@ letter making every D^k m_k (either state) a Gaussian integer, D^k r_k and
 D_x^#x D_y^#y psi(w) are ones too: a chain, its gaps and its tail share
 out the word's letters, so the recursion holds term by term on these
 scaled values.  The memos keep them as (re, im) ints; `moment` divides
-once per read and returns the exact Gaussian rational.
+once per read and returns the exact Gaussian rational, and `poly_moment`
+and the Boolean functionals combine the scaled ints and divide once per
+value they return.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 from fractions import Fraction
 
 from .cumulants import CumulantSeq, CumulantTable, MomentSeq
-from .errors import DomainError, Frozen, LimitError, ParseError
+from .errors import DomainError, Frozen, InternalError, LimitError, ParseError
 from .ncpoly import ALPHABET, MAX_WORD, block_factorize, check_word
 from .partitions import ENUMERATION_GUARD, _enumerate, is_vnrp, outer_inner
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational, parse_gaussian
@@ -177,7 +179,9 @@ class TwoStateSpec(Frozen):
         memo[word] = value = (re, im)
         return value
 
-    def moment(self, state, word, guard=None):
+    def _scaled_moment(self, state, word, guard=None):
+        """((re, im), den): the word's moment is (re + i im) / den, with
+        den = D_x^#x D_y^#y and (re, im) the memo's ints."""
         if state not in STATES:
             raise DomainError("unknown state %r" % (state,))
         check_word(word)
@@ -204,14 +208,28 @@ class TwoStateSpec(Frozen):
                     _grow_scaled(scaled["phi"][letter], table.cfrees(count), scale)
         if value is None:
             value = self._word_moment(word, scaled[state], memo)
-        return GaussianRational(Fraction(value[0], den), Fraction(value[1], den))
+        return value, den
+
+    def moment(self, state, word, guard=None):
+        (re, im), den = self._scaled_moment(state, word, guard)
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def poly_moment(self, state, poly, guard=None):
-        """Linear extension of the word moment to polynomials."""
-        total = GQ_ZERO
+        """Linear extension of the word moment to polynomials, summed in
+        ints over one common denominator of coefficients and word scales."""
+        re = im = 0
+        den = 1
         for word, coeff in poly.terms.items():
-            total = total + coeff * self.moment(state, word, guard)
-        return total
+            (m_re, m_im), m_den = self._scaled_moment(state, word, guard)
+            a, b = coeff.re, coeff.im
+            term_den = a.denominator * b.denominator * m_den
+            c_re, c_im = a.numerator * b.denominator, b.numerator * a.denominator
+            common = math.lcm(den, term_den)
+            up, term_up = common // den, common // term_den
+            re = re * up + (c_re * m_re - c_im * m_im) * term_up
+            im = im * up + (c_re * m_im + c_im * m_re) * term_up
+            den = common
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def _letter_scale(psi, phi):
@@ -230,31 +248,37 @@ def _letter_scale(psi, phi):
 def _grow_scaled(scaled, cumulants, scale):
     """Extend scaled to the cumulants' length with D^k c_k as (re, im) ints."""
     for k in range(len(scaled) + 1, len(cumulants) + 1):
-        c = cumulants[k - 1] * scale**k
-        scaled.append((c.re.numerator, c.im.numerator))
+        c, power = cumulants[k - 1], scale**k
+        re, im = c.re * power, c.im * power
+        if re.denominator != 1 or im.denominator != 1:
+            raise InternalError("scale %d leaves cumulant %d fractional" % (scale, k))
+        scaled.append((re.numerator, im.numerator))
 
 
 # ---------------------------------------------------------------------------
 # cumulant functionals evaluated against a spec
 #
 # Arguments are words; a product of arguments is their concatenation, read
-# by TwoStateSpec.moment under the caller's guard.
+# as a scaled moment under the caller's guard.
 # ---------------------------------------------------------------------------
 
 
 def multilinear_boolean(spec, state, args, guard=None):
-    """beta_n(a_1, ..., a_n) by the deconcatenation recursion."""
+    """beta_n(a_1, ..., a_n) by the deconcatenation recursion, in ints:
+    each term beta_j m(a_{j+1}..a_k) of step k has the scale of a_1..a_k."""
     n = len(args)
     if n == 0:
         raise DomainError("Boolean cumulant of no arguments")
     prefix = []
     for k in range(1, n + 1):
-        value = spec.moment(state, "".join(args[:k]), guard)
+        (re, im), den = spec._scaled_moment(state, "".join(args[:k]), guard)
         for j in range(1, k):
-            suffix = spec.moment(state, "".join(args[j:k]), guard)
-            value = value - prefix[j - 1] * suffix
-        prefix.append(value)
-    return prefix[n - 1]
+            (s_re, s_im), _ = spec._scaled_moment(state, "".join(args[j:k]), guard)
+            p_re, p_im = prefix[j - 1]
+            re -= p_re * s_re - p_im * s_im
+            im -= p_re * s_im + p_im * s_re
+        prefix.append((re, im))
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def block_boolean(spec, state, word, guard=None):

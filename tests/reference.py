@@ -176,6 +176,20 @@ def letterwise_boolean(spec, state, word, partial=None):
     return multilinear_boolean(spec, state, list(word)) if word else GQ_ONE
 
 
+def boolean_by_deconcatenation(spec, state, args):
+    """beta_n(a_1, ..., a_n) by the deconcatenation recursion on the
+    oracle's Gaussian-rational word moments, every step exact."""
+    if not args:
+        raise DomainError("Boolean cumulant of no arguments")
+    prefix = []
+    for k in range(1, len(args) + 1):
+        value = spec.moment(state, "".join(args[:k]))
+        for j in range(1, k):
+            value = value - prefix[j - 1] * spec.moment(state, "".join(args[j:k]))
+        prefix.append(value)
+    return prefix[-1]
+
+
 def _linear(poly, fn, *head):
     """fn(*head, word) extended linearly over a polynomial's monomials."""
     return sum((c * fn(*head, w) for w, c in poly.terms.items()), GQ_ZERO)

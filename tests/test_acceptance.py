@@ -29,7 +29,7 @@ from cfree.cumulants import (
     phi_moments_from_cfree,
 )
 from cfree.denoise import condexp_verify, l2_project
-from cfree.engine import poly_distribution, solve_fixed_point
+from cfree.engine import _poly_moments, poly_distribution, solve_fixed_point
 from cfree.linearize import (
     Linearization,
     geometric_corner,
@@ -115,10 +115,14 @@ def test_criterion_3_engine_oracle_equivalence():
         for text in polys:
             p = parse_poly(text)
             count = 8 // p.degree()
-            for state in ("phi", "psi"):
-                got = poly_distribution(spec, p, state, count)
+            # both states from one solve; the public one-state call on the
+            # first spec must read the same moments
+            both = _poly_moments(spec, p, count, ("phi", "psi"))
+            for state, got in zip(("phi", "psi"), both):
                 expected = oracle_moments(spec, p, state, count)
                 assert list(got.values) == expected
+                if trial == 0:
+                    assert poly_distribution(spec, p, state, count) == got
     finish(3, "engine equals oracle on 20 specs", start, 300)
 
 

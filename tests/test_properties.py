@@ -12,7 +12,9 @@ sums, reads in any order must give the values of one full-order read,
 and the oracle must not see how far a spec's tables were grown.  On
 specs with imaginary parts and prime-power denominators, which the
 oracle scales to Gaussian integers, its word moments must equal literal
-colored noncrossing partition sums of free and c-free cumulants.
+colored noncrossing partition sums of free and c-free cumulants, and
+the int sums behind poly_moment and multilinear_boolean must equal the
+same sums over the Gaussian rationals that moment returns.
 
 The series kernels: products, inverses and compositions of truncated
 series, scalar or 2x2-matrix valued and often zero, must equal naive
@@ -27,6 +29,7 @@ longer solve truncated to N, in every block and both moment transforms.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -38,9 +41,13 @@ from cfree.partitions import enumerate_nc, enumerate_nc_colored, outer_inner
 from cfree.scalars import GaussianRational
 from cfree.selfcheck import oracle_moments
 from cfree.series import SquareMatrix, TruncSeries, geometric
-from cfree.twostate import TwoStateSpec, random_spec
+from cfree.twostate import TwoStateSpec, multilinear_boolean, random_spec
 
-from reference import partition_weight, partition_weight_outer_inner
+from reference import (
+    boolean_by_deconcatenation,
+    partition_weight,
+    partition_weight_outer_inner,
+)
 
 COEFFS = (
     GaussianRational(1),
@@ -170,6 +177,18 @@ complex_moments = st.lists(
 )
 
 
+def prime_power_spec(moments):
+    """The order-8 spec of x_psi, y_psi, x_phi, y_phi moment lists."""
+    x_psi, y_psi, x_phi, y_phi = moments
+    return TwoStateSpec(
+        8,
+        MomentSeq(x_psi, "psi"),
+        MomentSeq(y_psi, "psi"),
+        MomentSeq(x_phi, "phi"),
+        MomentSeq(y_phi, "phi"),
+    )
+
+
 def partition_sum(spec, state, word):
     """The word moment as a literal colored noncrossing partition sum."""
     free = {ch: spec.free_cumulants(ch).values for ch in "xy"}
@@ -194,17 +213,49 @@ def partition_sum(spec, state, word):
     ),
 )
 def test_oracle_equals_the_partition_sum_on_complex_prime_power_specs(moments, words):
-    x_psi, y_psi, x_phi, y_phi = moments
-    spec = TwoStateSpec(
-        8,
-        MomentSeq(x_psi, "psi"),
-        MomentSeq(y_psi, "psi"),
-        MomentSeq(x_phi, "phi"),
-        MomentSeq(y_phi, "phi"),
-    )
+    spec = prime_power_spec(moments)
     for word in words:
         for state in ("psi", "phi"):
             assert spec.moment(state, word) == partition_sum(spec, state, word)
+
+
+complex_coeffs = st.builds(GaussianRational, parts, parts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    moments=st.tuples(*[complex_moments] * 4),
+    terms=st.lists(
+        st.tuples(st.text(alphabet="xy", max_size=8), complex_coeffs), max_size=5
+    ),
+)
+def test_poly_moment_is_the_coefficient_sum_of_word_moments(moments, terms):
+    spec = prime_power_spec(moments)
+    p = NCPolynomial(terms)
+    for state in ("psi", "phi"):
+        expected = sum(
+            (c * spec.moment(state, w) for w, c in p.terms.items()), ZERO
+        )
+        assert spec.poly_moment(state, p) == expected
+        assert spec.poly_moment(state, NCPolynomial.zero()) == ZERO
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    moments=st.tuples(*[complex_moments] * 4),
+    args=st.lists(st.text(alphabet="xy", max_size=2), min_size=1, max_size=4),
+)
+def test_multilinear_boolean_equals_the_exact_recursion(moments, args):
+    spec = prime_power_spec(moments)
+    # the drawn arguments, one argument, and an empty word among them
+    for case in (args, args[:1], [""] + args[1:] + [""]):
+        for state in ("psi", "phi"):
+            assert multilinear_boolean(spec, state, case) == (
+                boolean_by_deconcatenation(spec, state, case)
+            )
+    for functional in (multilinear_boolean, boolean_by_deconcatenation):
+        with pytest.raises(DomainError, match="no arguments"):
+            functional(spec, "phi", [])
 
 
 fractions = st.fractions(max_denominator=10**6)

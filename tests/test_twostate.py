@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from cfree import twostate
 from cfree.engine import poly_distribution
-from cfree.errors import DomainError, LimitError, ParseError
+from cfree.errors import DomainError, InternalError, LimitError, ParseError
 from cfree.ncpoly import NCPolynomial, block_factorize, parse_poly
 from cfree.partitions import (
     SetPartition,
@@ -275,6 +276,21 @@ def test_geometric_denominators_keep_the_scale_small():
         assert spec.moment(state, word) == gq(Fraction(value))
     assert time.perf_counter() - start < 1.0
     assert spec._scale == {"x": 210, "y": 20}
+
+
+def test_a_scale_that_leaves_a_cumulant_fractional_raises(monkeypatch):
+    # with D = 1 the half-integer moments give fractional scaled cumulants:
+    # every reader must refuse them rather than truncate them to ints
+    monkeypatch.setattr(twostate, "_letter_scale", lambda psi, phi: 1)
+    half = MomentSeq([gq(Fraction(1, 2)), gq(Fraction(3, 4))], "psi")
+    spec = TwoStateSpec(2, half, half)
+    for read in (
+        lambda: spec.moment("psi", "xy"),
+        lambda: spec.poly_moment("phi", parse_poly("x + y")),
+        lambda: multilinear_boolean(spec, "psi", ("x", "y")),
+    ):
+        with pytest.raises(InternalError, match="leaves cumulant 1 fractional"):
+            read()
 
 
 # -- the oracle against literal enumeration -----------------------------------
