@@ -3,9 +3,9 @@
 A TwoStateSpec holds marginal moment sequences for the letters x and y
 under both states, and one CumulantTable per letter that derives their
 Boolean, free and c-free cumulants on first read, each only to the order
-read: a word moment grows the free and c-free cumulants to the word's
-letter counts, the engine the Boolean ones to its own order, and the
-public accessors every sequence to the spec order.  Joint word moments
+read: the engine grows the Boolean ones to its own order, and the public
+accessors every sequence to the spec order.  The word oracle reads no
+table; it solves for its own scaled cumulants (below).  Joint word moments
 are colored noncrossing partition sums, evaluated here by a first-block
 recursion instead of literal enumeration:
 
@@ -18,6 +18,11 @@ gaps (independent, fully nested) and a free tail.  The phi version is the
 same chain sum with the outer block weighted by the c-free cumulant and
 the tail recursed under phi, since everything inside a gap is nested and
 keeps psi weights.  Tests replay literal enumeration against this.
+
+On a single-letter word the recursion is the moment-cumulant formula:
+in letter^n only the chain through all n positions carries the n-th
+cumulant, with coefficient 1, so the oracle solves letter^n's chain sum
+against the marginal m_n for it, psi before phi, and m_n seeds the memo.
 
 The recursion runs in Gaussian integers.  Cumulants of order k are
 integer polynomials of weight k in the moments, so with an integer D per
@@ -79,7 +84,7 @@ class TwoStateSpec(Frozen):
         }
         scale = {ch: _letter_scale(psi[ch].values, phi[ch].values) for ch in ALPHABET}
         # D^k times the k-th free (psi) or c-free (phi) cumulant, as int
-        # pairs, grown beside the tables' lists as words need them
+        # pairs, solved from single-letter chain sums as words need them
         scaled = {state: {ch: [] for ch in ALPHABET} for state in STATES}
         super().__init__(
             order, psi, phi, tables, scale, scaled, {"": (1, 0)}, {"": (1, 0)}, {}
@@ -159,7 +164,9 @@ class TwoStateSpec(Frozen):
 
         (self._scaled[state], memo of the state) gives the state's moment
         times D_x^#x D_y^#y; gaps always recurse under psi.  The scaled
-        cumulant lists must hold the word's letter counts.
+        cumulant lists must hold the word's letter counts, except on
+        letter^n with the list one entry short: then the sum lacks exactly
+        the n-th cumulant's term.
         """
         value = memo.get(word)
         if value is not None:
@@ -181,7 +188,8 @@ class TwoStateSpec(Frozen):
 
     def _scaled_moment(self, state, word, guard=None):
         """((re, im), den): the word's moment is (re + i im) / den, with
-        den = D_x^#x D_y^#y and (re, im) the memo's ints."""
+        den = D_x^#x D_y^#y and (re, im) the memo's ints; a miss first
+        grows the scaled cumulants to the word's letter counts."""
         if state not in STATES:
             raise DomainError("unknown state %r" % (state,))
         check_word(word)
@@ -197,18 +205,36 @@ class TwoStateSpec(Frozen):
             )
         memo = self._psi_memo if state == "psi" else self._phi_memo
         value = memo.get(word)
-        scaled = self._scaled
         den = 1
-        for letter, table in self._tables.items():
+        for letter in ALPHABET:
             count, scale = word.count(letter), self._scale[letter]
             den *= scale**count
             if value is None:
-                _grow_scaled(scaled["psi"][letter], table.frees(count), scale)
-                if state == "phi":
-                    _grow_scaled(scaled["phi"][letter], table.cfrees(count), scale)
+                # psi before phi: the phi chains read psi gaps
+                for grown in ("psi",) if state == "psi" else STATES:
+                    self._solve_cumulants(grown, letter, count)
         if value is None:
-            value = self._word_moment(word, scaled[state], memo)
+            value = self._word_moment(word, self._scaled[state], memo)
         return value, den
+
+    def _solve_cumulants(self, state, letter, count):
+        """Grow the letter's scaled state cumulants to count: with the list
+        one entry short, letter^n's chain sum is D^n m_n less exactly
+        D^n c_n, and D^n m_n then seeds the memo."""
+        cumulants, scale = self._scaled[state], self._scale[letter]
+        memo = self._psi_memo if state == "psi" else self._phi_memo
+        moments = (self._psi if state == "psi" else self._phi)[letter].values
+        for n in range(len(cumulants[letter]) + 1, count + 1):
+            m, power = moments[n - 1], scale**n
+            re, im = m.re * power, m.im * power
+            # D^n c_n is D^n m_n less ints: integral exactly when D^n m_n is
+            if re.denominator != 1 or im.denominator != 1:
+                raise InternalError(
+                    "scale %d leaves cumulant %d fractional" % (scale, n)
+                )
+            rest_re, rest_im = self._word_moment(letter * n, cumulants, memo)
+            memo[letter * n] = (re.numerator, im.numerator)
+            cumulants[letter].append((re.numerator - rest_re, im.numerator - rest_im))
 
     def moment(self, state, word, guard=None):
         (re, im), den = self._scaled_moment(state, word, guard)
@@ -243,16 +269,6 @@ def _letter_scale(psi, phi):
         for den in (part.denominator for m in pair for part in (m.re, m.im)):
             scale *= den // math.gcd(den, pow(scale, k, den))
     return scale
-
-
-def _grow_scaled(scaled, cumulants, scale):
-    """Extend scaled to the cumulants' length with D^k c_k as (re, im) ints."""
-    for k in range(len(scaled) + 1, len(cumulants) + 1):
-        c, power = cumulants[k - 1], scale**k
-        re, im = c.re * power, c.im * power
-        if re.denominator != 1 or im.denominator != 1:
-            raise InternalError("scale %d leaves cumulant %d fractional" % (scale, k))
-        scaled.append((re.numerator, im.numerator))
 
 
 # ---------------------------------------------------------------------------

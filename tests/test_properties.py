@@ -8,13 +8,17 @@ equal the oracle's word sums.
 
 The cumulant tables, which grow each sequence only to the order read:
 their free and c-free cumulants must give back the moments as partition
-sums, reads in any order must give the values of one full-order read,
-and the oracle must not see how far a spec's tables were grown.  On
-specs with imaginary parts and prime-power denominators, which the
-oracle scales to Gaussian integers, its word moments must equal literal
-colored noncrossing partition sums of free and c-free cumulants, and
-the int sums behind poly_moment and multilinear_boolean must equal the
-same sums over the Gaussian rationals that moment returns.
+sums, and reads in any order must give the values of one full-order
+read.  The oracle, which solves for its own scaled cumulants from the
+chain sums of single-letter words, must not see how far its lists were
+grown.  On specs with imaginary parts and prime-power denominators,
+which the oracle scales to Gaussian integers, its word moments must
+equal literal colored noncrossing partition sums of the tables' free
+and c-free cumulants, its scaled cumulants must be the tables' ones
+times D^k although it reads no table, and the int sums behind
+poly_moment and multilinear_boolean must equal the same sums over the
+Gaussian rationals that moment returns.  A failing draw on these specs
+is reported unshrunk.
 
 The series kernels: products, inverses and compositions of truncated
 series, scalar or 2x2-matrix valued and often zero, must equal naive
@@ -30,7 +34,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from cfree.cumulants import CumulantSeq, CumulantTable, MomentSeq
@@ -157,8 +161,7 @@ def test_oracle_on_a_lazily_grown_spec_equals_one_read_to_full_order(seed, reads
     lazy = random_spec(random.Random(seed), 7)
     eager = random_spec(random.Random(seed), 7)
     for ch in "xy":
-        eager.free_cumulants(ch)
-        eager.cfree_cumulants(ch)
+        eager.moment("phi", ch * 7)
     for state, word in reads:
         assert lazy.moment(state, word) == eager.moment(state, word)
 
@@ -174,6 +177,13 @@ nonzero_parts = st.builds(
 )
 complex_moments = st.lists(
     st.builds(GaussianRational, parts, nonzero_parts), min_size=8, max_size=8
+)
+# a failing draw on these specs shrinks for minutes and grows pytest to
+# gigabytes, so these properties report the first failing draw as found
+prime_power_settings = settings(
+    max_examples=30,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 
 
@@ -205,7 +215,7 @@ def partition_sum(spec, state, word):
     return total
 
 
-@settings(max_examples=30, deadline=None)
+@prime_power_settings
 @given(
     moments=st.tuples(*[complex_moments] * 4),
     words=st.lists(
@@ -219,10 +229,31 @@ def test_oracle_equals_the_partition_sum_on_complex_prime_power_specs(moments, w
             assert spec.moment(state, word) == partition_sum(spec, state, word)
 
 
+@prime_power_settings
+@given(moments=st.tuples(*[complex_moments] * 4))
+def test_the_oracle_solves_for_the_table_cumulants_on_prime_power_specs(moments):
+    spec = prime_power_spec(moments)
+    for ch in "xy":
+        spec.moment("phi", ch * 8)
+    # the oracle grew its own lists: no Fraction table was read
+    assert not any(t.free or t.cfree for t in spec._tables.values())
+    for ch in "xy":
+        scale = spec._scale[ch]
+        tables = {
+            "psi": spec.free_cumulants(ch).values,
+            "phi": spec.cfree_cumulants(ch).values,
+        }
+        for state, values in tables.items():
+            scaled = spec._scaled[state][ch]
+            assert len(scaled) == 8
+            for k, ((re, im), c) in enumerate(zip(scaled, values), 1):
+                assert GaussianRational(re, im) == c * scale**k
+
+
 complex_coeffs = st.builds(GaussianRational, parts, parts)
 
 
-@settings(max_examples=30, deadline=None)
+@prime_power_settings
 @given(
     moments=st.tuples(*[complex_moments] * 4),
     terms=st.lists(
@@ -240,7 +271,7 @@ def test_poly_moment_is_the_coefficient_sum_of_word_moments(moments, terms):
         assert spec.poly_moment(state, NCPolynomial.zero()) == ZERO
 
 
-@settings(max_examples=30, deadline=None)
+@prime_power_settings
 @given(
     moments=st.tuples(*[complex_moments] * 4),
     args=st.lists(st.text(alphabet="xy", max_size=2), min_size=1, max_size=4),

@@ -227,8 +227,11 @@ def test_cumulants_read_on_demand_change_no_answer():
 def test_moment_on_marginal_words():
     spec = std_spec(8)
     for n in range(1, 9):
-        assert spec.moment("psi", "x" * n) == spec.marginal("x").moment(n)
-        assert spec.moment("phi", "y" * n) == spec.marginal("y", "phi").moment(n)
+        for state in ("psi", "phi"):
+            for letter in "xy":
+                assert spec.moment(state, letter * n) == (
+                    spec.marginal(letter, state).moment(n)
+                )
 
 
 def test_moment_guards():
