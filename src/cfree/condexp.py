@@ -30,6 +30,11 @@ The gating makes every coefficient vanish unless the prefix starts and
 ends with the right letter, so each surviving term strictly shortens
 the word and the recursion terminates.
 
+The recursion runs on the word oracle's scaled Gaussian integers: a
+word's x^k coefficient is kept times D_x^(#x - k) D_y^#y, with D the
+oracle's letter scales, so all its terms share one scale, and efree_rec
+and rqce divide once per nonzero coefficient they return.
+
 Resolvent forms apply the maps coefficientwise to the matrix resolvent
 (I - z(AX + BY))^{-1} without touching any word: the subordination
 blocks of the fixed-point engine already carry the answer.
@@ -38,12 +43,14 @@ blocks of the fixed-point engine already carry the answer.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .engine import solve_fixed_point
 from .errors import Frozen, LimitError
 from .ncpoly import MAX_WORD, NCPolynomial, block_factorize, check_word
+from .scalars import GaussianRational
 from .series import TruncSeries, geometric
-from .twostate import multilinear_boolean, partial_block_boolean
+from .twostate import _scaled_boolean, multilinear_boolean
 
 __all__ = [
     "CondExpResult",
@@ -128,47 +135,69 @@ def efree_full(spec, w, guard=DEFAULT_GUARD):
 def _peel(spec, state, w, memos, guard):
     """The module's peeling rule: E[W] under psi, rqce[W] under phi.
 
-    Each prefix U is gated by W's first letter and cut where the other
-    letter follows it.  memos maps each state to its word memo.
+    Returns {k: (re, im)}, the x^k coefficient times D_x^(#x(W) - k)
+    D_y^#y(W) in Gaussian integers, zeros left out.  Every term has that
+    scale: x E[W'] shifts k with no rescale, and each prefix U, gated by
+    W's first letter and cut where the other letter follows it, gives its
+    scaled Boolean cumulant times the tail's ints.  memos maps each state
+    to its word memo.
     """
     if "y" not in w:
-        return NCPolynomial.word(w)
+        return {len(w): (1, 0)}
     memo = memos[state]
     got = memo.get(w)
     if got is not None:
         return got
     gate = w[0]
-    if gate == "y":
-        out = NCPolynomial.scalar(partial_block_boolean(spec, state, "y", w, guard))
-    else:
-        out = NCPolynomial.letter("x") * _peel(spec, "psi", w[1:], memos, guard)
-    # under psi the x-gated term is beta_x(U) (E - E)[yV] = 0
+    shifted = _peel(spec, "psi", w[1:], memos, guard) if gate == "x" else {}
+    out = {k + 1: value for k, value in shifted.items()}
+    # under psi the x-gated term is beta_x(U) (E - E)[yV] = 0; a y-gated
+    # U = W, with the empty tail, is the head beta_y(W)
     if gate == "y" or state == "phi":
-        for k in range(1, len(w)):
-            if w[k] == gate:
+        for k in range(1, len(w) + (gate == "y")):
+            if w[k - 1] != gate or w[k : k + 1] == gate:
                 continue
-            coeff = partial_block_boolean(spec, state, gate, w[:k], guard)
-            if coeff.is_zero():
-                continue
-            tail = _peel(spec, state, w[k:], memos, guard)
-            if gate == "x":
-                tail = tail - _peel(spec, "psi", w[k:], memos, guard)
-            out = out + coeff * tail
+            runs = ["".join(run) for _, run in itertools.groupby(w[:k])]
+            (c_re, c_im), _ = _scaled_boolean(spec, state, runs, guard)
+            if c_re or c_im:
+                _add_product(out, c_re, c_im, _peel(spec, state, w[k:], memos, guard))
+                if gate == "x":
+                    tail = _peel(spec, "psi", w[k:], memos, guard)
+                    _add_product(out, -c_re, -c_im, tail)
     memo[w] = out
     return out
 
 
+def _add_product(out, c_re, c_im, terms):
+    """out += (c_re + i c_im) terms on {k: (re, im)}, dropping zeros."""
+    for k, (t_re, t_im) in terms.items():
+        re, im = out.pop(k, (0, 0))
+        re += c_re * t_re - c_im * t_im
+        im += c_re * t_im + c_im * t_re
+        if re or im:
+            out[k] = (re, im)
+
+
+def _recursive(spec, state, w, guard):
+    """_peel's answer for a checked word, one division per coefficient."""
+    w = _checked_word(w, guard)
+    scaled = _peel(spec, state, w, {"psi": {}, "phi": {}}, guard)
+    nx, scale_y = w.count("x"), spec._scale["y"] ** w.count("y")
+    terms = {}
+    for k, (re, im) in scaled.items():
+        den = spec._scale["x"] ** (nx - k) * scale_y
+        terms["x" * k] = GaussianRational(Fraction(re, den), Fraction(im, den))
+    return CondExpResult(NCPolynomial(terms), "recursive")
+
+
 def efree_rec(spec, w, guard=DEFAULT_GUARD):
     """E[W] by the peeling recursion; agrees with efree_full."""
-    w = _checked_word(w, guard)
-    return CondExpResult(_peel(spec, "psi", w, {"psi": {}}, guard), "recursive")
+    return _recursive(spec, "psi", w, guard)
 
 
 def rqce(spec, w, guard=DEFAULT_GUARD):
     """Right quasi-conditional expectation of a word onto the X-algebra."""
-    w = _checked_word(w, guard)
-    memos = {"psi": {}, "phi": {}}
-    return CondExpResult(_peel(spec, "phi", w, memos, guard), "recursive")
+    return _recursive(spec, "phi", w, guard)
 
 
 def _lift_entries(series):

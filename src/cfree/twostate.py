@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .cumulants import CumulantSeq, CumulantTable, MomentSeq
 from .errors import DomainError, Frozen, InternalError, LimitError, ParseError
-from .ncpoly import ALPHABET, MAX_WORD, block_factorize, check_word
+from .ncpoly import ALPHABET, MAX_WORD, check_word
 from .partitions import ENUMERATION_GUARD, _enumerate, is_vnrp, outer_inner
 from .scalars import GQ_ONE, GQ_ZERO, GaussianRational, parse_gaussian
 from .series import SquareMatrix, TruncSeries
@@ -280,41 +280,30 @@ def _letter_scale(psi, phi):
 
 
 def multilinear_boolean(spec, state, args, guard=None):
-    """beta_n(a_1, ..., a_n) by the deconcatenation recursion, in ints:
-    each term beta_j m(a_{j+1}..a_k) of step k has the scale of a_1..a_k."""
-    n = len(args)
-    if n == 0:
+    """beta_n(a_1, ..., a_n) by the deconcatenation recursion, in ints."""
+    (re, im), den = _scaled_boolean(spec, state, args, guard)
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _scaled_boolean(spec, state, args, guard):
+    """((re, im), den) of multilinear_boolean: each term beta_j m(a_{j+1}..
+    a_k) of step k has the scale of a_1..a_k.  The concatenation is checked
+    and read once, which grows the scaled cumulants for every sub-span."""
+    if not args:
         raise DomainError("Boolean cumulant of no arguments")
+    _, den = spec._scaled_moment(state, "".join(args), guard)
+    cumulants = spec._scaled[state]
+    memo = spec._psi_memo if state == "psi" else spec._phi_memo
     prefix = []
-    for k in range(1, n + 1):
-        (re, im), den = spec._scaled_moment(state, "".join(args[:k]), guard)
+    for k in range(1, len(args) + 1):
+        re, im = spec._word_moment("".join(args[:k]), cumulants, memo)
         for j in range(1, k):
-            (s_re, s_im), _ = spec._scaled_moment(state, "".join(args[j:k]), guard)
+            s_re, s_im = spec._word_moment("".join(args[j:k]), cumulants, memo)
             p_re, p_im = prefix[j - 1]
             re -= p_re * s_re - p_im * s_im
             im -= p_re * s_im + p_im * s_re
         prefix.append((re, im))
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
-
-
-def block_boolean(spec, state, word, guard=None):
-    """Boolean cumulant of the maximal single-letter runs of the word."""
-    check_word(word)
-    if word == "":
-        return GQ_ONE
-    runs = [ch * k for ch, k in block_factorize(word)]
-    return multilinear_boolean(spec, state, runs, guard)
-
-
-def partial_block_boolean(spec, state, letter, word, guard=None):
-    """block_boolean on words framed by the letter, zero otherwise."""
-    check_word(letter)
-    check_word(word)
-    if word == "":
-        return GQ_ONE
-    if word[0] != letter or word[-1] != letter:
-        return GQ_ZERO
-    return block_boolean(spec, state, word, guard)
+    return (re, im), den
 
 
 def nested_two_state_boolean(spec, p, args):

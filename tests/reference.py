@@ -13,16 +13,14 @@ from math import prod
 from cfree.cumulants import boolean_from_moments, eta_series
 from cfree.errors import DomainError
 from cfree.multiplicative import subordination_pair
-from cfree.ncpoly import NCPolynomial, check_word
+from cfree.ncpoly import NCPolynomial, block_factorize, check_word
 from cfree.partitions import SetPartition, enumerate_interval, outer_inner
 from cfree.scalars import GQ_ONE, GQ_ZERO, GaussianRational
 from cfree.series import SquareMatrix, TruncSeries, geometric
 from cfree.twostate import (
     TwoStateSpec,
     atom_moments,
-    block_boolean,
     multilinear_boolean,
-    partial_block_boolean,
     semicircle_moments,
 )
 
@@ -188,6 +186,57 @@ def boolean_by_deconcatenation(spec, state, args):
             value = value - prefix[j - 1] * spec.moment(state, "".join(args[j:k]))
         prefix.append(value)
     return prefix[-1]
+
+
+def block_boolean(spec, state, word, guard=None):
+    """Boolean cumulant of the maximal single-letter runs of the word."""
+    check_word(word)
+    if word == "":
+        return GQ_ONE
+    runs = [ch * k for ch, k in block_factorize(word)]
+    return multilinear_boolean(spec, state, runs, guard)
+
+
+def partial_block_boolean(spec, state, letter, word, guard=None):
+    """block_boolean on words framed by the letter, zero otherwise."""
+    check_word(letter)
+    check_word(word)
+    if word == "":
+        return GQ_ONE
+    if word[0] != letter or word[-1] != letter:
+        return GQ_ZERO
+    return block_boolean(spec, state, word, guard)
+
+
+def peel(spec, state, w, memos=None):
+    """E[W] under psi, rqce[W] under phi: condexp's peeling rule over
+    Gaussian-rational polynomials, every block functional divided out."""
+    if memos is None:
+        memos = {"psi": {}, "phi": {}}
+    if "y" not in w:
+        return NCPolynomial.word(w)
+    memo = memos[state]
+    got = memo.get(w)
+    if got is not None:
+        return got
+    gate = w[0]
+    if gate == "y":
+        out = NCPolynomial.scalar(partial_block_boolean(spec, state, "y", w))
+    else:
+        out = NCPolynomial.letter("x") * peel(spec, "psi", w[1:], memos)
+    if gate == "y" or state == "phi":
+        for k in range(1, len(w)):
+            if w[k] == gate:
+                continue
+            coeff = partial_block_boolean(spec, state, gate, w[:k])
+            if coeff.is_zero():
+                continue
+            tail = peel(spec, state, w[k:], memos)
+            if gate == "x":
+                tail = tail - peel(spec, "psi", w[k:], memos)
+            out = out + coeff * tail
+    memo[w] = out
+    return out
 
 
 def _linear(poly, fn, *head):

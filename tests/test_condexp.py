@@ -30,14 +30,17 @@ from cfree.series import SquareMatrix, TruncSeries
 from cfree.twostate import (
     TwoStateSpec,
     atom_moments,
-    block_boolean,
-    partial_block_boolean,
     random_spec,
     semicircle_moments,
 )
 from cfree.cumulants import MomentSeq
 
-from reference import apply_linear, word_resolvent
+from reference import (
+    apply_linear,
+    block_boolean,
+    partial_block_boolean,
+    word_resolvent,
+)
 
 
 def words_up_to(n, start=0):

@@ -17,8 +17,11 @@ equal literal colored noncrossing partition sums of the tables' free
 and c-free cumulants, its scaled cumulants must be the tables' ones
 times D^k although it reads no table, and the int sums behind
 poly_moment and multilinear_boolean must equal the same sums over the
-Gaussian rationals that moment returns.  A failing draw on these specs
-is reported unshrunk.
+Gaussian rationals that moment returns.  condexp's peeling recursion,
+which runs on the same scaled integers, must give E and rqce exactly as
+the Gaussian-rational rule does, E also as the chain formula, there and
+on semicircle and atomic specs whose many zero cumulants it must never
+store.  A failing draw on these specs is reported unshrunk.
 
 The series kernels: products, inverses and compositions of truncated
 series, scalar or 2x2-matrix valued and often zero, must equal naive
@@ -37,6 +40,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from cfree.condexp import DEFAULT_GUARD, _peel, efree_full, efree_rec, rqce
 from cfree.cumulants import CumulantSeq, CumulantTable, MomentSeq
 from cfree.engine import _poly_moments, solve_fixed_point
 from cfree.errors import DomainError
@@ -45,12 +49,20 @@ from cfree.partitions import enumerate_nc, enumerate_nc_colored, outer_inner
 from cfree.scalars import GaussianRational
 from cfree.selfcheck import oracle_moments
 from cfree.series import SquareMatrix, TruncSeries, geometric
-from cfree.twostate import TwoStateSpec, multilinear_boolean, random_spec
+from cfree.twostate import (
+    TwoStateSpec,
+    atom_moments,
+    multilinear_boolean,
+    point_mass_moments,
+    random_spec,
+    semicircle_moments,
+)
 
 from reference import (
     boolean_by_deconcatenation,
     partition_weight,
     partition_weight_outer_inner,
+    peel,
 )
 
 COEFFS = (
@@ -287,6 +299,50 @@ def test_multilinear_boolean_equals_the_exact_recursion(moments, args):
     for functional in (multilinear_boolean, boolean_by_deconcatenation):
         with pytest.raises(DomainError, match="no arguments"):
             functional(spec, "phi", [])
+
+
+def check_scaled_peeling(spec, words):
+    """efree_rec and rqce against the Gaussian-rational rule, efree_rec
+    against the chain formula, and no zero in any scaled answer."""
+    for w in words:
+        memos = {"psi": {}, "phi": {}}
+        _peel(spec, "phi", w, memos, DEFAULT_GUARD)
+        for memo in memos.values():
+            for terms in memo.values():
+                assert (0, 0) not in terms.values()
+        e = efree_rec(spec, w).poly
+        assert e == peel(spec, "psi", w) == efree_full(spec, w).poly
+        assert rqce(spec, w).poly == peel(spec, "phi", w)
+
+
+peeled_words = st.lists(st.text(alphabet="xy", max_size=8), min_size=1, max_size=3)
+
+
+@prime_power_settings
+@given(moments=st.tuples(*[complex_moments] * 4), words=peeled_words)
+def test_the_scaled_peeling_equals_the_rule_on_prime_power_specs(moments, words):
+    check_scaled_peeling(prime_power_spec(moments), words)
+
+
+real_parts = st.builds(GaussianRational, parts)
+
+
+@prime_power_settings
+@given(
+    variances=st.tuples(*[st.builds(GaussianRational, nonzero_parts)] * 2),
+    atoms=st.tuples(real_parts, real_parts, real_parts, real_parts),
+    words=peeled_words,
+)
+def test_the_scaled_peeling_on_semicircle_and_atom_specs(variances, atoms, words):
+    a, b, weight, mass = atoms
+    x = semicircle_moments(variances[0], 8)
+    y = atom_moments([(a, weight), (b, GaussianRational(1) - weight)], 8)
+    x_phi = semicircle_moments(variances[1], 8, "phi")
+    check_scaled_peeling(
+        TwoStateSpec(8, x, y, x_phi, point_mass_moments(mass, 8, "phi")), words
+    )
+    # with phi = psi every x-gated difference (rqce - E)[yV] cancels
+    check_scaled_peeling(TwoStateSpec(8, x, y), words)
 
 
 fractions = st.fractions(max_denominator=10**6)

@@ -20,12 +20,10 @@ from cfree.scalars import GQ_ONE, GQ_ZERO
 from cfree.twostate import (
     TwoStateSpec,
     atom_moments,
-    block_boolean,
     dist_moments,
     hankel_warnings,
     multilinear_boolean,
     nested_two_state_boolean,
-    partial_block_boolean,
     point_mass_moments,
     random_spec,
     semicircle_moments,
@@ -35,12 +33,14 @@ from cfree.twostate import (
 from cfree.cumulants import MomentSeq
 
 from reference import (
+    block_boolean,
     block_boolean_poly,
     boolean_products_recursive,
     closure_check,
     gq,
     letterwise_boolean,
     letterwise_boolean_poly,
+    partial_block_boolean,
     std_spec,
 )
 
@@ -246,6 +246,16 @@ def test_moment_guards():
         spec.moment("theta", "xx")
     with pytest.raises(DomainError):
         spec.moment("psi", "xz")
+
+
+def test_a_boolean_cumulant_past_the_guard_grows_nothing():
+    # the concatenation is checked before any argument is read
+    spec = std_spec(16)
+    memo, scaled = dict(spec._psi_memo), repr(spec._scaled)
+    with pytest.raises(LimitError, match="^word length 16 exceeds guard 12$"):
+        multilinear_boolean(spec, "psi", ["x" * 8, "y" * 8], guard=12)
+    assert spec._psi_memo == memo
+    assert repr(spec._scaled) == scaled
 
 
 def test_empty_word():
