@@ -51,7 +51,8 @@ def _strings(values):
 
 
 def _poly_terms(p):
-    return [[w, str(p.terms[w])] for w in p.words()]
+    terms = p.terms
+    return [[w, str(terms[w])] for w in p.words()]
 
 
 def _load_spec(path):

@@ -33,7 +33,8 @@ the word and the recursion terminates.
 The recursion runs on the word oracle's scaled Gaussian integers: a
 word's x^k coefficient is kept times D_x^(#x - k) D_y^#y, with D the
 oracle's letter scales, so all its terms share one scale, and efree_rec
-and rqce divide once per nonzero coefficient they return.
+and rqce hand the polynomial those integers over the word's scale
+D_x^#x D_y^#y, reduced once, without a Fraction per coefficient.
 
 Resolvent forms apply the maps coefficientwise to the matrix resolvent
 (I - z(AX + BY))^{-1} without touching any word: the subordination
@@ -43,12 +44,11 @@ blocks of the fixed-point engine already carry the answer.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import sys
 
 from .engine import solve_fixed_point
 from .errors import Frozen, LimitError
-from .ncpoly import MAX_WORD, NCPolynomial, block_factorize, check_word
-from .scalars import GaussianRational
+from .ncpoly import MAX_WORD, NCPolynomial, _reduced, block_factorize, check_word
 from .series import TruncSeries, geometric
 from .twostate import _scaled_boolean, multilinear_boolean
 
@@ -179,15 +179,18 @@ def _add_product(out, c_re, c_im, terms):
 
 
 def _recursive(spec, state, w, guard):
-    """_peel's answer for a checked word, one division per coefficient."""
+    """_peel's answer for a checked word, handed to the polynomial as
+    Gaussian integers over the word's scale D_x^#x D_y^#y, reduced once.
+    The x^k keys are interned: retained answers share them."""
     w = _checked_word(w, guard)
     scaled = _peel(spec, state, w, {"psi": {}, "phi": {}}, guard)
-    nx, scale_y = w.count("x"), spec._scale["y"] ** w.count("y")
-    terms = {}
+    scale_x = spec._scale["x"]
+    den = scale_x ** w.count("x") * spec._scale["y"] ** w.count("y")
+    pairs = {}
     for k, (re, im) in scaled.items():
-        den = spec._scale["x"] ** (nx - k) * scale_y
-        terms["x" * k] = GaussianRational(Fraction(re, den), Fraction(im, den))
-    return CondExpResult(NCPolynomial(terms), "recursive")
+        up = scale_x**k
+        pairs[sys.intern("x" * k)] = (re * up, im * up)
+    return CondExpResult(_reduced(pairs, den), "recursive")
 
 
 def efree_rec(spec, w, guard=DEFAULT_GUARD):

@@ -65,9 +65,11 @@ def weighted_state(x_psi, y_psi, f, order):
     if y_psi.order < order:
         raise DomainError("y marginal is shorter than the requested order")
 
+    terms = f.terms
+
     def weighted_power(n):
         total = GQ_ZERO
-        for word, coeff in f.terms.items():
+        for word, coeff in terms.items():
             total = total + coeff * x_psi.moment(len(word) + n)
         return total
 

@@ -16,7 +16,7 @@ the y-labeled ones, and u = v = the root coordinate vector.
 from __future__ import annotations
 
 from .errors import DomainError, Frozen, LimitError
-from .ncpoly import NCPolynomial
+from .ncpoly import NCPolynomial, _poly
 from .scalars import GQ_ONE, GQ_ZERO
 from .series import SquareMatrix, TruncSeries
 
@@ -76,7 +76,7 @@ class Linearization(Frozen):
 
 def _append(poly, letter):
     """poly * letter, without multiplying any coefficient by one."""
-    return NCPolynomial({w + letter: c for w, c in poly.terms.items()})
+    return _poly({w + letter: pair for w, pair in poly._pairs.items()}, poly._den)
 
 
 def _add_scaled(acc, c, r):
@@ -116,8 +116,9 @@ def linearize(p):
         key = (power, src, dst)
         table[key] = table.get(key, GQ_ZERO) + weight
 
+    terms = p.terms
     for word in words:
-        coeff = p.terms[word]
+        coeff = terms[word]
         length = len(word)
         for k in range(1, length):
             src = states[word[: k - 1]]

@@ -1,12 +1,22 @@
 """The free algebra Q(i)<x,y>: words, polynomials, printing and parsing.
 
 Words are plain strings over the alphabet {x, y} ("" is the empty word).
-An NCPolynomial maps words to Gaussian-rational coefficients; zero
-coefficients are never stored.  format_poly and parse_poly convert
-between polynomials and the text grammar that the command line reads.
+An NCPolynomial stores its coefficients as Gaussian integers over one
+denominator: a map word -> (re, im) of nonzero int pairs and a positive
+int den, the coefficient of a word being (re + i*im) / den.  The map is
+kept in lowest terms (the gcd of den and every part is 1), so equal
+polynomials store equal fields.  A product multiplies int pairs over
+the product of the two denominators and reduces once; a sum or
+difference brings both to one lcm.  The word -> GaussianRational map
+.terms is derived from the pairs on each read.  format_poly and
+parse_poly convert between polynomials and the text grammar that the
+command line reads.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .errors import DomainError, Frozen, LimitError, ParseError
 from .scalars import (
@@ -47,25 +57,46 @@ def block_factorize(word):
     return [(ch, k) for ch, k in runs]
 
 
-def _accumulate(data, items):
-    """Add (word, coeff) pairs into data, dropping every zero sum."""
-    for word, coeff in items:
-        if coeff.is_zero():
-            continue
-        if word in data:
-            coeff = data[word] + coeff
-            if coeff.is_zero():
-                del data[word]
-                continue
-        data[word] = coeff
-    return data
-
-
-def _poly(data):
-    """Wrap a word -> nonzero coefficient dict whose words are known valid."""
+def _poly(pairs, den):
+    """Wrap word -> nonzero (re, im) pairs over den, already in lowest
+    terms, whose words are known valid."""
     poly = NCPolynomial.__new__(NCPolynomial)
-    object.__setattr__(poly, "terms", data)
+    object.__setattr__(poly, "_pairs", pairs)
+    object.__setattr__(poly, "_den", den)
     return poly
+
+
+def _reduced(pairs, den):
+    """The polynomial of nonzero pairs over den > 0, in lowest terms.
+
+    den == 1 is already lowest: constants with integer entries, and
+    products of integer polynomials, skip the gcd.
+    """
+    if not pairs:
+        return _ZERO
+    if den != 1:
+        g = den
+        for re, im in pairs.values():
+            g = math.gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            pairs = {w: (re // g, im // g) for w, (re, im) in pairs.items()}
+            den //= g
+    return _poly(pairs, den)
+
+
+def _scalar_parts(c):
+    """(re, im, den) of a GaussianRational over the lcm of its part
+    denominators, which leaves them in lowest terms."""
+    a, b = c.re, c.im
+    den = math.lcm(a.denominator, b.denominator)
+    re, im = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    return re, im, den
+
+
+def _gaussian(re, im, den):
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def _as_poly(value):
@@ -77,14 +108,67 @@ def _as_poly(value):
     return None if c is None else NCPolynomial.scalar(c)
 
 
-class NCPolynomial(Frozen):
-    """A finite Q(i)-linear combination of words in x and y."""
+def _times(poly, c):
+    """poly times the GaussianRational c, which is converted once."""
+    if c.is_zero() or not poly._pairs:
+        return _ZERO
+    c_re, c_im, c_den = _scalar_parts(c)
+    pairs = {
+        w: (re * c_re - im * c_im, re * c_im + im * c_re)
+        for w, (re, im) in poly._pairs.items()
+    }
+    return _reduced(pairs, poly._den * c_den)
 
-    __slots__ = ("terms",)
+
+def _sum(a, b, sign):
+    """a + sign * b over the lcm of the two denominators (sign is 1 or -1)."""
+    if not b._pairs:
+        return a
+    if not a._pairs:
+        return b if sign == 1 else -b
+    g = math.gcd(a._den, b._den)
+    up_a, up_b = b._den // g, sign * (a._den // g)
+    if up_a == 1:
+        out = dict(a._pairs)
+    else:
+        out = {w: (re * up_a, im * up_a) for w, (re, im) in a._pairs.items()}
+    for w, (re, im) in b._pairs.items():
+        re, im = re * up_b, im * up_b
+        got = out.get(w)
+        if got is not None:
+            re, im = got[0] + re, got[1] + im
+            if not (re or im):
+                del out[w]
+                continue
+        out[w] = (re, im)
+    return _reduced(out, a._den * up_a)
+
+
+class NCPolynomial(Frozen):
+    """A finite Q(i)-linear combination of words in x and y.
+
+    Stored as _pairs, word -> nonzero Gaussian-integer (re, im), over
+    one positive int _den, in lowest terms; zero is {} over 1.  Any
+    exact scalar (see scalars.as_gaussian) is a coefficient.
+    """
+
+    __slots__ = ("_pairs", "_den")
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        super().__init__(_accumulate({}, ((check_word(w), c) for w, c in items)))
+        sums = {}
+        for word, value in items:
+            check_word(word)
+            c = as_gaussian(value)
+            if c is None:
+                raise DomainError("bad coefficient %r of word %r" % (value, word))
+            sums[word] = sums[word] + c if word in sums else c
+        # over the lcm of lowest-terms denominators, each prime's highest
+        # power leaves its numerator prime to it: already lowest terms
+        parts = [(w, _scalar_parts(c)) for w, c in sums.items() if c]
+        den = math.lcm(*(d for _, (_, _, d) in parts))
+        pairs = {w: (re * (den // d), im * (den // d)) for w, (re, im, d) in parts}
+        super().__init__(pairs, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -98,8 +182,7 @@ class NCPolynomial(Frozen):
 
     @classmethod
     def letter(cls, ch):
-        check_word(ch)
-        return cls(((ch, GQ_ONE),))
+        return _poly({check_word(ch): (1, 0)}, 1)
 
     @classmethod
     def word(cls, word, coeff=GQ_ONE):
@@ -110,36 +193,47 @@ class NCPolynomial(Frozen):
         c = as_gaussian(value)
         if c is None:
             raise DomainError("bad scalar %r" % (value,))
-        return cls((("", c),))
+        if c.is_zero():
+            return _ZERO
+        re, im, den = _scalar_parts(c)
+        return _poly({"": (re, im)}, den)
 
     # -- queries ------------------------------------------------------------
 
+    @property
+    def terms(self):
+        """word -> GaussianRational coefficient, derived from the pairs on
+        each read: read it once per use, not once per word."""
+        den = self._den
+        return {w: _gaussian(re, im, den) for w, (re, im) in self._pairs.items()}
+
     def coeff(self, word):
-        return self.terms.get(word, GQ_ZERO)
+        pair = self._pairs.get(word)
+        return GQ_ZERO if pair is None else _gaussian(*pair, self._den)
 
     def constant_coefficient(self):
-        return self.terms.get("", GQ_ZERO)
+        return self.coeff("")
 
     def is_zero(self):
-        return not self.terms
+        return not self._pairs
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {""}
+        return not self._pairs or (len(self._pairs) == 1 and "" in self._pairs)
 
     def degree(self):
         """Largest word length; the zero polynomial has degree -1."""
-        if not self.terms:
+        if not self._pairs:
             return -1
-        return max(len(w) for w in self.terms)
+        return max(len(w) for w in self._pairs)
 
     def letters_used(self):
         out = set()
-        for w in self.terms:
+        for w in self._pairs:
             out.update(w)
         return out
 
     def words(self):
-        return sorted(self.terms, key=lambda w: (len(w), w))
+        return sorted(self._pairs, key=lambda w: (len(w), w))
 
     # -- ring operations ------------------------------------------------------
 
@@ -147,7 +241,7 @@ class NCPolynomial(Frozen):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return _poly(_accumulate(dict(self.terms), other.terms.items()))
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -155,34 +249,38 @@ class NCPolynomial(Frozen):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _poly({w: -c for w, c in self.terms.items()})
+        return _poly({w: (-re, -im) for w, (re, im) in self._pairs.items()}, self._den)
 
     def __mul__(self, other):
-        c = as_gaussian(other)
-        if c is not None:
-            if c.is_zero():
-                return _ZERO
-            return _poly({w: k * c for w, k in self.terms.items()})
         if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        pairs = len(self.terms) * len(other.terms)
-        if pairs > MAX_PAIRS:
+            c = as_gaussian(other)
+            return NotImplemented if c is None else _times(self, c)
+        a, b = self._pairs, other._pairs
+        if len(a) * len(b) > MAX_PAIRS:
             raise LimitError(
                 "a product of %d by %d terms exceeds the ceiling of %d term "
-                "pairs" % (len(self.terms), len(other.terms), MAX_PAIRS)
+                "pairs" % (len(a), len(b), MAX_PAIRS)
             )
-        products = (
-            (wa + wb, ca * cb)
-            for wa, ca in self.terms.items()
-            for wb, cb in other.terms.items()
-        )
-        return _poly(_accumulate({}, products))
+        out = {}
+        for wa, (a_re, a_im) in a.items():
+            for wb, (b_re, b_im) in b.items():
+                w = wa + wb
+                re = a_re * b_re - a_im * b_im
+                im = a_re * b_im + a_im * b_re
+                got = out.get(w)
+                if got is not None:
+                    re, im = got[0] + re, got[1] + im
+                    if not (re or im):
+                        del out[w]
+                        continue
+                out[w] = (re, im)
+        return _reduced(out, self._den * other._den)
 
     __rmul__ = __mul__  # only scalars reach it, and they commute
 
@@ -191,7 +289,7 @@ class NCPolynomial(Frozen):
             raise DomainError("polynomial powers need a nonnegative int")
         # p^k holds words of deg(p) * k letters; a constant's exact size
         # grows with k as a word's length would.  Refuse before building.
-        if self.terms and max(self.degree(), 1) * exponent > MAX_WORD:
+        if self._pairs and max(self.degree(), 1) * exponent > MAX_WORD:
             raise LimitError(
                 "power %d of a degree-%d polynomial exceeds the ceiling of "
                 "%d letters per word" % (exponent, self.degree(), MAX_WORD)
@@ -211,7 +309,8 @@ class NCPolynomial(Frozen):
         """Defined for nonzero constants only (matrix pivots need this)."""
         if not self.is_constant() or self.is_zero():
             raise DomainError("only nonzero constant polynomials invert")
-        return NCPolynomial((("", self.terms[""].inverse()),))
+        re, im = self._pairs[""]
+        return _reduced({"": (self._den * re, -self._den * im)}, re * re + im * im)
 
     # -- protocol glue ---------------------------------------------------------
 
@@ -225,10 +324,13 @@ class NCPolynomial(Frozen):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._pairs == other._pairs
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its scalar, so it hashes like it (zero like 0)
+        if self.is_constant():
+            return hash(self.constant_coefficient())
+        return hash((frozenset(self._pairs.items()), self._den))
 
     def __str__(self):
         return format_poly(self)
@@ -237,8 +339,8 @@ class NCPolynomial(Frozen):
         return "NCPolynomial(%r)" % format_poly(self)
 
 
-_ZERO = _poly({})
-_ONE = _poly({"": GQ_ONE})
+_ZERO = _poly({}, 1)
+_ONE = _poly({"": (1, 0)}, 1)
 
 X = NCPolynomial.letter("x")
 Y = NCPolynomial.letter("y")
@@ -276,9 +378,10 @@ def format_poly(poly):
     """Canonical printer: graded lexicographic word order, stable signs."""
     if poly.is_zero():
         return "0"
+    terms = poly.terms
     parts = []
     for word in poly.words():
-        text = _format_term(word, poly.terms[word])
+        text = _format_term(word, terms[word])
         if not parts:
             parts.append(text)
         elif text.startswith("-"):

@@ -241,20 +241,19 @@ class TwoStateSpec(Frozen):
         return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def poly_moment(self, state, poly, guard=None):
-        """Linear extension of the word moment to polynomials, summed in
-        ints over one common denominator of coefficients and word scales."""
+        """Linear extension of the word moment to polynomials: the
+        polynomial's Gaussian-integer pairs times the scaled word moments,
+        summed in ints over one common denominator and divided once."""
         re = im = 0
         den = 1
-        for word, coeff in poly.terms.items():
+        for word, (c_re, c_im) in poly._pairs.items():
             (m_re, m_im), m_den = self._scaled_moment(state, word, guard)
-            a, b = coeff.re, coeff.im
-            term_den = a.denominator * b.denominator * m_den
-            c_re, c_im = a.numerator * b.denominator, b.numerator * a.denominator
-            common = math.lcm(den, term_den)
-            up, term_up = common // den, common // term_den
+            common = math.lcm(den, m_den)
+            up, term_up = common // den, common // m_den
             re = re * up + (c_re * m_re - c_im * m_im) * term_up
             im = im * up + (c_re * m_im + c_im * m_re) * term_up
             den = common
+        den *= poly._den
         return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 

@@ -62,6 +62,29 @@ def apply_linear(spec, fn, poly):
     return out
 
 
+def accumulate(data, items):
+    """Add (word, coeff) pairs into the word -> GaussianRational map data,
+    dropping every zero sum: the arithmetic NCPolynomial ran before it
+    stored Gaussian-integer pairs over one denominator."""
+    for word, coeff in items:
+        if coeff.is_zero():
+            continue
+        if word in data:
+            coeff = data[word] + coeff
+            if coeff.is_zero():
+                del data[word]
+                continue
+        data[word] = coeff
+    return data
+
+
+def terms_product(a, b):
+    """The product of two word -> GaussianRational maps, term by term."""
+    return accumulate(
+        {}, ((wa + wb, ca * cb) for wa, ca in a.items() for wb, cb in b.items())
+    )
+
+
 def discrete(n):
     """The bottom of the partition lattice: every point its own block."""
     return SetPartition(n, [(i,) for i in range(1, n + 1)])

@@ -75,6 +75,37 @@ def test_every_exact_scalar_adds_subtracts_and_compares():
     assert parse_poly("1/2") != 0.5
 
 
+def test_every_exact_scalar_is_a_coefficient_and_nothing_else():
+    assert NCPolynomial({"x": 1}) == X
+    assert NCPolynomial({"x": Fraction(1, 2)}).coeff("x") == gq(Fraction(1, 2))
+    assert NCPolynomial([("x", 2), ("", True), ("x", -2)]) == ONE
+    for bad in ("1", 0.5, 1j, None):
+        with pytest.raises(DomainError, match="bad coefficient"):
+            NCPolynomial({"x": bad})
+        with pytest.raises(DomainError, match="bad coefficient"):
+            NCPolynomial([("y", 1), ("x", bad)])
+
+
+def test_equal_values_hash_equal():
+    for value in (0, 3, -1, Fraction(-7, 4), gq(1, 2), GQ_I, gq(0, Fraction(1, 3))):
+        c = NCPolynomial.scalar(value)
+        assert c == value and hash(c) == hash(value)
+        assert value in {c: 0} and c in {value: 0}
+    assert 3 in {NCPolynomial.scalar(3): 0}
+    assert hash(NCPolynomial.zero()) == hash(0) == hash(X - X)
+    rng = random.Random(5)
+    c = gq(Fraction(1, 6), Fraction(-2, 9))
+    for _ in range(50):
+        p, q = rand_poly(rng) * c, rand_poly(rng)
+        for a, b in (
+            ((p + q) - q, p),
+            (p * (q + ONE) - p * q, p),
+            ((p * c) * c.inverse(), p),
+            ((q - q) + p, p),
+        ):
+            assert a == b and hash(a) == hash(b)
+
+
 def test_pow():
     assert X ** 0 == ONE
     assert X ** 3 == NCPolynomial.word("xxx")

@@ -17,7 +17,10 @@ equal literal colored noncrossing partition sums of the tables' free
 and c-free cumulants, its scaled cumulants must be the tables' ones
 times D^k although it reads no table, and the int sums behind
 poly_moment and multilinear_boolean must equal the same sums over the
-Gaussian rationals that moment returns.  condexp's peeling recursion,
+Gaussian rationals that moment returns.  NCPolynomial's int-pair
+products, sums, differences and scalar products must equal the
+Gaussian-rational term arithmetic of tests/reference.py on the same
+coefficients, and stay in lowest terms.  condexp's peeling recursion,
 which runs on the same scaled integers, must give E and rqce exactly as
 the Gaussian-rational rule does, E also as the chain formula, there and
 on semicircle and atomic specs whose many zero cumulants it must never
@@ -33,6 +36,7 @@ past it never reach the answer, so a solve at order N must equal a
 longer solve truncated to N, in every block and both moment transforms.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -59,10 +63,12 @@ from cfree.twostate import (
 )
 
 from reference import (
+    accumulate,
     boolean_by_deconcatenation,
     partition_weight,
     partition_weight_outer_inner,
     peel,
+    terms_product,
 )
 
 COEFFS = (
@@ -281,6 +287,49 @@ def test_poly_moment_is_the_coefficient_sum_of_word_moments(moments, terms):
         )
         assert spec.poly_moment(state, p) == expected
         assert spec.poly_moment(state, NCPolynomial.zero()) == ZERO
+
+
+def assert_canonical(p):
+    """Nonzero int pairs over a positive den, in lowest terms."""
+    assert p._den > 0
+    assert all(re or im for re, im in p._pairs.values())
+    parts = (part for pair in p._pairs.values() for part in pair)
+    assert math.gcd(p._den, *parts) == 1
+
+
+poly_terms = st.lists(
+    st.tuples(st.text(alphabet="xy", max_size=4), complex_coeffs), max_size=5
+)
+
+
+@prime_power_settings
+@given(terms=poly_terms, other=poly_terms, c=complex_coeffs)
+def test_the_int_pair_arithmetic_equals_the_gaussian_rational_one(terms, other, c):
+    p, q = NCPolynomial(terms), NCPolynomial(other)
+    a, b = p.terms, q.terms
+    assert a == accumulate({}, terms) and b == accumulate({}, other)
+    negated = {w: -v for w, v in b.items()}
+    scaled = {w: v * c for w, v in a.items()} if c else {}
+    cases = [
+        (p, a),
+        (p * q, terms_product(a, b)),
+        (p + q, accumulate(dict(a), b.items())),
+        (p - q, accumulate(dict(a), negated.items())),
+        (p * c, scaled),
+        (c * p, scaled),
+        (p * NCPolynomial.scalar(c), scaled),
+        (-q, negated),
+        ((p + q) * (p - q), terms_product(
+            accumulate(dict(a), b.items()), accumulate(dict(a), negated.items())
+        )),
+    ]
+    for got, expected in cases:
+        assert got.terms == expected
+        assert_canonical(got)
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+    if not c.is_zero():
+        assert_canonical(NCPolynomial.scalar(c).inverse())
+        assert (p * c) * NCPolynomial.scalar(c).inverse() == p
 
 
 @prime_power_settings
