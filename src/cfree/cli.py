@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .condexp import efree_rec, efree_resolvent, rqce, rqce_resolvent
+from .condexp import DEFAULT_GUARD, efree_rec, efree_resolvent, rqce, rqce_resolvent
 from .cumulants import free_from_moments
 from .denoise import distributions_of_poly, l2_project, weighted_state
 from .engine import poly_distribution
@@ -117,10 +117,7 @@ def _cmd_condexp(args):
         if args.poly is not None:
             raise ParseError("--poly belongs to --resolvent mode")
         fn = efree_rec if args.state == "psi" else rqce
-        if args.guard is not None:
-            result = fn(spec, args.word, guard=args.guard)
-        else:
-            result = fn(spec, args.word)
+        result = fn(spec, args.word, guard=args.guard)
         return 0, _dump(
             {"source": result.source, "terms": _poly_terms(result.poly)}
         )
@@ -273,7 +270,12 @@ def _build_parser():
     )
     p.add_argument("--poly", help="polynomial for --resolvent mode")
     p.add_argument("--order", type=int, help="series order for --resolvent")
-    p.add_argument("--guard", type=int, help="raise the word-length guard")
+    p.add_argument(
+        "--guard",
+        type=int,
+        default=DEFAULT_GUARD,
+        help="raise the word-length guard",
+    )
     p.set_defaults(handler=_cmd_condexp)
 
     p = sub.add_parser(

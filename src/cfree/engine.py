@@ -75,7 +75,6 @@ class EngineState(Frozen):
     """
 
     __slots__ = (
-        "spec",
         "order",
         "n",
         "a",
@@ -97,10 +96,6 @@ class EngineState(Frozen):
         else:
             raise DomainError("which must be 'phi' or 'psi'")
         return geometric(self.a * f_x + self.b * f_y, self.order)
-
-    def corner(self, u, v, which):
-        """Scalar series u^t M(z) v for Gaussian-rational vectors u, v."""
-        return self.mgf(which).map(lambda mat: mat.apply_bilinear(u, v))
 
 
 def _sweep(spec, a_s, b_s, ident, blocks, t):
@@ -173,9 +168,7 @@ def solve_fixed_point(spec, a, b, order):
     f_x_phi = TruncSeries(w_x.combine(phi_x, t) for t in range(sub + 1))
     f_y_phi = TruncSeries(w_y.combine(phi_y, t) for t in range(sub + 1))
 
-    return EngineState(
-        spec, order, n, a_s, b_s, h_x, h_y, f_x, f_y, f_x_phi, f_y_phi
-    )
+    return EngineState(order, n, a_s, b_s, h_x, h_y, f_x, f_y, f_x_phi, f_y_phi)
 
 
 def poly_distribution(spec, p, state, order):
@@ -208,7 +201,7 @@ def _poly_moments(spec, p, order, states):
     st = solve_fixed_point(spec, lin.a_coeffs, lin.b_coeffs, eng_order)
     out = []
     for state in states:
-        corner = st.corner(lin.u, lin.v, state)
+        corner = lin.corner(st.mgf(state))
         if not corner.coeff(0) == GQ_ONE:
             raise InternalError("corner series does not start at 1")
         for k in range(1, eng_order + 1):

@@ -39,7 +39,8 @@ class Linearization(Frozen):
         super().__init__(n, m, a_coeffs, b_coeffs, tuple(u), tuple(v))
 
     def corner(self, series):
-        """u^t S(z) v for a series S of matrices with polynomial entries."""
+        """u^t S(z) v for a series S of matrices with scalar or polynomial
+        entries: the engine's moment transforms and condexp's resolvents."""
         return series.map(lambda mat: mat.apply_bilinear(self.u, self.v))
 
     def resolvent_corner(self, order):
@@ -107,46 +108,26 @@ def linearize(p):
             % (n, MAX_PENCIL)
         )
 
-    a_entries = {}
-    b_entries = {}
-    unit_seen = set()
-
-    def add(letter, src, dst, power, weight):
-        table = a_entries if letter == "x" else b_entries
-        key = (power, src, dst)
-        table[key] = table.get(key, GQ_ZERO) + weight
-
+    # (power, src, dst) -> weight per letter.  No key repeats: a state has
+    # one parent, and a monomial one longest proper prefix.
+    tables = {"x": {}, "y": {}}
+    for state, dst in states.items():
+        if state:
+            tables[state[-1]][0, states[state[:-1]], dst] = GQ_ONE
     terms = p.terms
     for word in words:
-        coeff = terms[word]
-        length = len(word)
-        for k in range(1, length):
-            src = states[word[: k - 1]]
-            dst = states[word[:k]]
-            letter = word[k - 1]
-            if (src, dst, letter) not in unit_seen:
-                unit_seen.add((src, dst, letter))
-                add(letter, src, dst, 0, GQ_ONE)
-        src = states[word[: length - 1]]
-        add(word[-1], src, 0, m - length, coeff)
+        tables[word[-1]][m - len(word), states[word[:-1]], 0] = terms[word]
 
-    max_power = max(
-        (key[0] for table in (a_entries, b_entries) for key in table),
-        default=0,
-    )
+    powers = m - len(words[0]) + 1  # words run shortest first
 
     def build(table):
-        out = []
-        for power in range(max_power + 1):
-            rows = [[GQ_ZERO] * n for _ in range(n)]
-            for (pw, i, j), w in table.items():
-                if pw == power:
-                    rows[i][j] = w
-            out.append(SquareMatrix(tuple(tuple(r) for r in rows)))
-        return out
+        stack = [[[GQ_ZERO] * n for _ in range(n)] for _ in range(powers)]
+        for (power, src, dst), weight in table.items():
+            stack[power][src][dst] = weight
+        return [SquareMatrix(rows) for rows in stack]
 
     unit = [GQ_ONE] + [GQ_ZERO] * (n - 1)
-    return Linearization(n, m, build(a_entries), build(b_entries), unit, unit)
+    return Linearization(n, m, build(tables["x"]), build(tables["y"]), unit, unit)
 
 
 def geometric_corner(p, m, order):

@@ -189,10 +189,14 @@ class TwoStateSpec(Frozen):
     def _scaled_moment(self, state, word, guard=None):
         """((re, im), den): the word's moment is (re + i im) / den, with
         den = D_x^#x D_y^#y and (re, im) the memo's ints; a miss first
-        grows the scaled cumulants to the word's letter counts."""
+        grows the scaled cumulants to the word's letter counts.  Every
+        memo key is a checked word, so only a miss checks the letters."""
         if state not in STATES:
             raise DomainError("unknown state %r" % (state,))
-        check_word(word)
+        memo = self._psi_memo if state == "psi" else self._phi_memo
+        value = memo.get(word)
+        if value is None:
+            check_word(word)
         # the spec order is checked first: no guard can lift it
         if len(word) > self.order:
             raise DomainError(
@@ -203,8 +207,6 @@ class TwoStateSpec(Frozen):
             raise LimitError(
                 "word length %d exceeds guard %d" % (len(word), limit)
             )
-        memo = self._psi_memo if state == "psi" else self._phi_memo
-        value = memo.get(word)
         den = 1
         for letter in ALPHABET:
             count, scale = word.count(letter), self._scale[letter]

@@ -88,7 +88,7 @@ def test_sum_matches_oracle_both_states():
     spec = std_spec(8)
     st = solve_fixed_point(spec, UNIT, UNIT, 8)
     for state in ("psi", "phi"):
-        corner = st.corner(E1, E1, state)
+        corner = st.mgf(state).map(lambda m: m.apply_bilinear(E1, E1))
         for n in range(9):
             assert corner.coeff(n) == sum_moment(spec, state, n)
 
@@ -98,7 +98,7 @@ def test_sum_matches_oracle_random_spec():
     spec = random_spec(rng, 8)
     st = solve_fixed_point(spec, UNIT, UNIT, 8)
     for state in ("psi", "phi"):
-        corner = st.corner(E1, E1, state)
+        corner = st.mgf(state).map(lambda m: m.apply_bilinear(E1, E1))
         for n in range(9):
             assert corner.coeff(n) == sum_moment(spec, state, n)
 
@@ -108,7 +108,7 @@ def test_b_zero_degenerates_to_marginal():
     spec = random_spec(rng, 6)
     st = solve_fixed_point(spec, UNIT, NIL, 6)
     for state in ("psi", "phi"):
-        corner = st.corner(E1, E1, state)
+        corner = st.mgf(state).map(lambda m: m.apply_bilinear(E1, E1))
         marg = spec.marginal("x", state)
         for n in range(7):
             assert corner.coeff(n) == marg.moment(n)
@@ -215,7 +215,7 @@ def test_eta_of_sum_is_shift_of_f_blocks():
         ("psi", st.f_x, st.f_y),
         ("phi", st.f_x_phi, st.f_y_phi),
     ):
-        corner = st.corner(E1, E1, state)
+        corner = st.mgf(state).map(lambda m: m.apply_bilinear(E1, E1))
         moments = tuple(corner.coeff(n) for n in range(1, 9))
         from cfree.cumulants import MomentSeq
 
@@ -234,7 +234,7 @@ def test_z_dependent_pencil_matches_wordwise_resolvent():
     st = solve_fixed_point(spec, lin.a_coeffs, lin.b_coeffs, 6)
     corner_sym = lin.resolvent_corner(6)
     for state in ("psi", "phi"):
-        corner = st.corner(lin.u, lin.v, state)
+        corner = lin.corner(st.mgf(state))
         for k in range(7):
             assert corner.coeff(k) == spec.poly_moment(state, corner_sym.coeff(k))
 
@@ -450,7 +450,7 @@ def test_subordination_identity_1x1():
     hy = st.h_y.map(lambda m: m.entry(0, 0))
     m_x = spec.marginal("x", "psi").series()
     rhs = hy * m_x.compose(hy.shift(1))
-    lhs = st.corner(E1, E1, "psi")
+    lhs = st.mgf("psi").map(lambda m: m.apply_bilinear(E1, E1))
     assert lhs.truncated(hy.order) == rhs.truncated(hy.order)
 
 

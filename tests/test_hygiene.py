@@ -75,7 +75,7 @@ ROOT = PACKAGE.parents[1]
 # away; test_slow_references_are_still_only_reached_by_tests insists.
 SLOW_REFERENCES = {
     "twostate.hankel_warnings": "positivity diagnostics on the marginals, "
-    "waiting for the --stats report of ROADMAP item 9",
+    "waiting for the --stats report of ROADMAP item 10",
 }
 
 

@@ -89,6 +89,64 @@ def test_random_polynomials_verify():
         checked += 1
 
 
+def pencil_entries(lin):
+    """Every nonzero pencil entry, keyed (letter, power, src, dst)."""
+    out = {}
+    for letter, stack in (("x", lin.a_coeffs), ("y", lin.b_coeffs)):
+        for power, mat in enumerate(stack):
+            for src, row in enumerate(mat.rows):
+                for dst, weight in enumerate(row):
+                    if not weight.is_zero():
+                        out[letter, power, src, dst] = weight
+    return out
+
+
+def assert_trie_edges(p):
+    lin = linearize(p)
+    entries = pencil_entries(lin)
+    # each non-root column: one unit edge at power 0, from the state's parent
+    parent = {}
+    for dst in range(1, lin.n):
+        [(letter, power, src, _)] = [key for key in entries if key[3] == dst]
+        assert power == 0 and entries[letter, power, src, dst] == GQ_ONE
+        parent[dst] = (src, letter)
+
+    def name(state):
+        if state == 0:
+            return ""
+        src, letter = parent[state]
+        return name(src) + letter
+
+    index = {name(state): state for state in range(lin.n)}
+    words = p.words()
+    assert set(index) == {w[:k] for w in words for k in range(len(w))}
+    # column 0: one completion edge per monomial, in its last letter's stack
+    completions = {key: w for key, w in entries.items() if key[3] == 0}
+    assert len(completions) == len(words)
+    terms = p.terms
+    for w in words:
+        key = (w[-1], lin.m - len(w), index[w[:-1]], 0)
+        assert completions[key] == terms[w]
+
+
+def test_trie_pencil_edge_set():
+    for p in (
+        X + Y,
+        parse_poly("i*(x*y - y*x)"),
+        X * Y + X * X,
+        X * Y + X,
+        X * Y + Y * X,
+    ):
+        assert_trie_edges(p)
+    rng = random.Random(71)
+    checked = 0
+    while checked < 25:
+        p = rand_poly(rng)
+        if p.is_zero():
+            continue
+        assert_trie_edges(p)
+        checked += 1
+
 def test_rejects_constant_and_zero():
     with pytest.raises(DomainError):
         linearize(NCPolynomial.zero())

@@ -248,6 +248,25 @@ def test_moment_guards():
         spec.moment("psi", "xz")
 
 
+def test_a_warm_memo_still_refuses_what_a_cold_one_does():
+    # only a memo miss checks the letters; the state, spec-order and guard
+    # checks run on every read, memo hits included
+    spec = std_spec(16)
+    word = "xy" * 8
+    value = spec.moment("psi", word, guard=16)
+    assert word in spec._psi_memo
+    with pytest.raises(LimitError, match="^word length 16 exceeds guard 12$"):
+        spec.moment("psi", word, guard=12)
+    with pytest.raises(LimitError, match="^word length 16 exceeds guard 10$"):
+        spec.moment("psi", word, guard=10)
+    with pytest.raises(DomainError, match="^word length 17 exceeds spec order 16$"):
+        spec.moment("psi", word + "x", guard=20)
+    with pytest.raises(DomainError, match="letters outside"):
+        spec.moment("psi", "xy" * 7 + "xz", guard=16)
+    with pytest.raises(DomainError, match="unknown state"):
+        spec.moment("theta", word, guard=16)
+    assert spec.moment("psi", word, guard=16) == value
+
 def test_a_boolean_cumulant_past_the_guard_grows_nothing():
     # the concatenation is checked before any argument is read
     spec = std_spec(16)
