@@ -154,11 +154,15 @@ def _peel(spec, state, w, memos, guard):
     # under psi the x-gated term is beta_x(U) (E - E)[yV] = 0; a y-gated
     # U = W, with the empty tail, is the head beta_y(W)
     if gate == "y" or state == "phi":
-        for k in range(1, len(w) + (gate == "y")):
-            if w[k - 1] != gate or w[k : k + 1] == gate:
-                continue
-            runs = ["".join(run) for _, run in itertools.groupby(w[:k])]
-            (c_re, c_im), _ = _scaled_boolean(spec, state, runs, guard)
+        # U ends where a gate run does (the even run ends), U = W only
+        # under the y gate; one call reads every prefix up to the last U
+        ends = [k for k in range(1, len(w)) if w[k] != w[k - 1]]
+        if gate == "y":
+            ends.append(len(w))
+        if len(ends) % 2 == 0:
+            ends.pop()
+        prefix, _ = _scaled_boolean(spec, state, w[: ends[-1]], ends, guard)
+        for k, (c_re, c_im) in zip(ends[::2], prefix[::2]):
             if c_re or c_im:
                 _add_product(out, c_re, c_im, _peel(spec, state, w[k:], memos, guard))
                 if gate == "x":

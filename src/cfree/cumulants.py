@@ -70,10 +70,6 @@ class MomentSeq(_TaggedSeq):
             raise DomainError("moment index %d outside declared order" % k)
         return self.values[k - 1]
 
-    def series(self):
-        """The moment generating function 1 + m_1 z + ... + m_N z^N."""
-        return TruncSeries((GQ_ONE,) + self.values)
-
 
 class CumulantSeq(_TaggedSeq):
     """Cumulants c_1..c_N with a kind tag fixing their meaning."""
@@ -91,12 +87,9 @@ class CumulantSeq(_TaggedSeq):
         return self.values[k - 1]
 
 
-def eta_series(boolean, order=None):
+def eta_series(boolean):
     """eta(z) = sum beta_k z^k as a series with zero constant term."""
-    order = boolean.order if order is None else order
-    if order > boolean.order:
-        raise DomainError("eta requested beyond available cumulants")
-    return TruncSeries([GQ_ZERO] + [boolean.value(k) for k in range(1, order + 1)])
+    return TruncSeries((GQ_ZERO,) + boolean.values)
 
 
 def _boolean_kind(state):
@@ -116,10 +109,9 @@ def boolean_from_moments(m):
     return CumulantSeq(_extend_boolean([], m.values, m.order), _boolean_kind(m.state))
 
 
-def moments_from_boolean(beta, state=None):
+def moments_from_boolean(beta):
     """M = 1 / (1 - eta), the inverse of the deconcatenation recursion."""
-    if state is None:
-        state = "phi" if beta.kind == "boolean-phi" else "psi"
+    state = "phi" if beta.kind == "boolean-phi" else "psi"
     # eta = z s with s_k = beta_{k+1}; the padding keeps s nonempty
     m = geometric(TruncSeries(beta.values + (GQ_ZERO,)), beta.order)
     return MomentSeq(m.coeffs[1:], state)
@@ -134,9 +126,9 @@ def _psi_reversion(r):
     return h.revert()
 
 
-def moments_from_free(r, state="psi"):
-    """M = g / z with g the reversion of w / (1 + R(w))."""
-    return MomentSeq(_psi_reversion(r).coeffs[2:], state)
+def moments_from_free(r):
+    """psi-moments: M = g / z with g the reversion of w / (1 + R(w))."""
+    return MomentSeq(_psi_reversion(r).coeffs[2:], "psi")
 
 
 class CumulantTable:

@@ -40,10 +40,6 @@ class SetPartition(Frozen):
         normalized.sort(key=lambda b: b[0])
         super().__init__(n, tuple(normalized))
 
-    @classmethod
-    def full(cls, n):
-        return cls(n, [tuple(range(1, n + 1))])
-
     def block_index(self):
         """Map point -> position of its block in self.blocks."""
         out = {}

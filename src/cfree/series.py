@@ -178,21 +178,6 @@ class TruncSeries(Frozen):
             g.append(power.coeffs[k - 1] / k)
         return TruncSeries(tuple(g))
 
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append("(%s)*z" % c)
-            else:
-                parts.append("(%s)*z^%d" % (c, k))
-        if not parts:
-            return "0 + O(z^%d)" % (self.order + 1)
-        return " + ".join(parts) + " + O(z^%d)" % (self.order + 1)
-
 
 def cauchy(p, q, k, zero):
     """[z^k] of the product of coefficient lists p and q (p on the left)."""
@@ -465,10 +450,3 @@ class SquareMatrix(Frozen):
         if acc is None:
             acc = self.rows[0][0].zero_like()
         return acc
-
-    def __str__(self):
-        return "[" + "; ".join(
-            " ".join(str(e) for e in row) for row in self.rows
-        ) + "]"
-
-    __repr__ = __str__

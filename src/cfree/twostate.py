@@ -37,6 +37,7 @@ value they return.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -282,29 +283,34 @@ def _letter_scale(psi, phi):
 
 def multilinear_boolean(spec, state, args, guard=None):
     """beta_n(a_1, ..., a_n) by the deconcatenation recursion, in ints."""
-    (re, im), den = _scaled_boolean(spec, state, args, guard)
+    if not args:
+        raise DomainError("Boolean cumulant of no arguments")
+    ends = list(itertools.accumulate(map(len, args)))
+    prefix, den = _scaled_boolean(spec, state, "".join(args), ends, guard)
+    re, im = prefix[-1]
     return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
-def _scaled_boolean(spec, state, args, guard):
-    """((re, im), den) of multilinear_boolean: each term beta_j m(a_{j+1}..
-    a_k) of step k has the scale of a_1..a_k.  The concatenation is checked
-    and read once, which grows the scaled cumulants for every sub-span."""
-    if not args:
-        raise DomainError("Boolean cumulant of no arguments")
-    _, den = spec._scaled_moment(state, "".join(args), guard)
+def _scaled_boolean(spec, state, word, ends, guard):
+    """(prefix, den): the word's arguments end at the ascending ends, the
+    last at len(word), and prefix[k] is the Boolean cumulant of those that
+    end by ends[k], scaled as word[:ends[k]]; den is the word's scale.
+    Each term beta_j m(a_{j+1}..a_k) of step k has the scale of a_1..a_k.
+    The word is checked and read once, which grows the scaled cumulants
+    for every sub-span."""
+    _, den = spec._scaled_moment(state, word, guard)
     cumulants = spec._scaled[state]
     memo = spec._psi_memo if state == "psi" else spec._phi_memo
     prefix = []
-    for k in range(1, len(args) + 1):
-        re, im = spec._word_moment("".join(args[:k]), cumulants, memo)
-        for j in range(1, k):
-            s_re, s_im = spec._word_moment("".join(args[j:k]), cumulants, memo)
-            p_re, p_im = prefix[j - 1]
+    for k, end in enumerate(ends):
+        re, im = spec._word_moment(word[:end], cumulants, memo)
+        for j in range(k):
+            s_re, s_im = spec._word_moment(word[ends[j] : end], cumulants, memo)
+            p_re, p_im = prefix[j]
             re -= p_re * s_re - p_im * s_im
             im -= p_re * s_im + p_im * s_re
         prefix.append((re, im))
-    return (re, im), den
+    return prefix, den
 
 
 def nested_two_state_boolean(spec, p, args):
@@ -379,27 +385,21 @@ def point_mass_moments(value, order, state="psi"):
     return atom_moments([(value, GQ_ONE)], order, state)
 
 
-def random_spec(rng, order, distinct_phi=True, span=4):
-    """Small random rational marginals; phi defaults to new sequences."""
+def random_spec(rng, order):
+    """Small random rational marginals, with phi sequences of their own."""
 
     def seq(state):
         return MomentSeq(
             [
                 GaussianRational(
-                    Fraction(rng.randint(-span, span), rng.randint(1, 3))
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 )
                 for _ in range(order)
             ],
             state,
         )
 
-    return TwoStateSpec(
-        order,
-        seq("psi"),
-        seq("psi"),
-        seq("phi") if distinct_phi else None,
-        seq("phi") if distinct_phi else None,
-    )
+    return TwoStateSpec(order, seq("psi"), seq("psi"), seq("phi"), seq("phi"))
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,6 @@ def sigma_transform_full(marginal, order):
     sigma_transform does: a zero psi-mean or order 0 leaves nothing to
     revert, and short marginals leave eta_series short."""
     phi_m, psi_m = marginal
-    eta_psi = eta_series(boolean_from_moments(psi_m), order)
-    eta_phi = eta_series(boolean_from_moments(phi_m), order)
+    eta_psi = eta_series(boolean_from_moments(psi_m)).truncated(order)
+    eta_phi = eta_series(boolean_from_moments(phi_m)).truncated(order)
     return eta_phi.compose_shifted(eta_psi.revert()).truncated(order - 1)

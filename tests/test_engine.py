@@ -448,7 +448,7 @@ def test_subordination_identity_1x1():
     spec = std_spec(12)
     st = solve_fixed_point(spec, UNIT, UNIT, 8)
     hy = st.h_y.map(lambda m: m.entry(0, 0))
-    m_x = spec.marginal("x", "psi").series()
+    m_x = TruncSeries((GQ_ONE,) + spec.marginal("x", "psi").values)
     rhs = hy * m_x.compose(hy.shift(1))
     lhs = st.mgf("psi").map(lambda m: m.apply_bilinear(E1, E1))
     assert lhs.truncated(hy.order) == rhs.truncated(hy.order)

@@ -69,7 +69,7 @@ def test_no_unused_imports(path):
 
 ROOT = PACKAGE.parents[1]
 
-# Names that nothing in src/, perfbench/ or README.md reaches, kept on
+# Names that no code in src/, perfbench/ or README.md reaches, kept on
 # purpose, each with what keeps it; code that only the tests read lives in
 # tests/reference.py.  Delete an entry when its name gains a caller or goes
 # away; test_slow_references_are_still_only_reached_by_tests insists.
@@ -95,44 +95,99 @@ def definitions(tree):
                     yield "%s.%s" % (node.name, item.name), item
 
 
-def names_in(tree, strings=False):
-    """(name, line) for every name, attribute and imported name read.
+def reads_in(tree):
+    """(word, line, attr) for every name the code of tree reads.
 
-    With strings, identifiers inside string constants count too: the
-    benchmark tracer names what it patches as dotted strings.
+    String constants, docstrings included, are not code.  attr is true
+    for an attribute read ``x.word`` and for a class-body alias such as
+    ``__rmul__ = word``: only these reach a method.  An attribute of the
+    package itself (``cfree.series``) is a module, read as a plain name.
     """
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            package = isinstance(node.value, ast.Name) and node.value.id == "cfree"
+            yield node.attr, node.lineno, not package
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
-        elif strings and isinstance(node, ast.Constant):
-            if isinstance(node.value, str):
-                for word in re.findall(r"[A-Za-z_]\w*", node.value):
-                    yield word, node.lineno
+                yield alias.name, node.lineno, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
+                    yield item.value.id, item.lineno, True
 
 
-def unreferenced(modules, outside):
-    """Definitions in modules (name -> source) that nothing else names.
+def dotted_reads(text):
+    """(word, attr) for every dotted name in text, read as reads_in would
+    read it in code: after the head (``cfree.<module>`` for the package),
+    each part is an attribute read."""
+    for chain in re.findall(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", text):
+        parts = chain.split(".")
+        head = 2 if parts[0] == "cfree" else 1
+        for k, part in enumerate(parts):
+            yield part, k >= head
 
-    A definition is named when another module or the outside name set
-    reads its name, or its own module does outside the definition's own
-    lines (so self-recursion alone does not count).
+
+def code_spans(markdown):
+    """The fenced blocks and inline code spans of markdown."""
+    chunks = re.split(r"^```.*$", markdown, flags=re.M)
+    code = chunks[1::2]
+    for prose in chunks[::2]:
+        code.extend(re.findall(r"`([^`\n]+)`", prose))
+    return code
+
+
+def outside_reads(readme, bench):
+    """(word, attr) reads by code outside the library: the README's code
+    spans, the code of the bench modules (name -> source), and the
+    attribute paths in SPANS and COUNTS of their tracer, which patches
+    each by name."""
+    reads = {read for text in code_spans(readme) for read in dotted_reads(text)}
+    for module, source in bench.items():
+        tree = ast.parse(source)
+        reads.update((word, attr) for word, _, attr in reads_in(tree))
+        if module == "tracing":
+            for path in tracer_paths(tree):
+                reads.update(dotted_reads(path))
+    return reads
+
+
+def tracer_paths(tree):
+    """The attribute paths in the tracer's SPANS and COUNTS tables."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTS")
+            for t in node.targets
+        ):
+            for _, path, _ in ast.literal_eval(node.value):
+                yield path
+
+
+def unreferenced(modules, outside=frozenset()):
+    """Definitions in modules (name -> source) that no code calls.
+
+    outside holds the (word, attr) reads of code beyond the modules.  Any
+    read of its name calls a top-level function or class; only an
+    attribute read or alias (attr true) calls a method, so a local
+    variable or a module that shares its name does not.  A module's reads
+    inside a definition's own lines do not call it, so self-recursion
+    alone is no caller.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    reads = {name: list(names_in(tree)) for name, tree in trees.items()}
+    reads = {name: list(reads_in(tree)) for name, tree in trees.items()}
     found = []
     for module, tree in trees.items():
         for qualname, node in definitions(tree):
             bare = qualname.rpartition(".")[2]
+            callers = {(bare, True)}
+            if "." not in qualname:
+                callers.add((bare, False))
             own = range(node.lineno, node.end_lineno + 1)
-            if bare in outside or any(
-                word == bare and (other != module or line not in own)
+            if callers & outside or any(
+                (word, attr) in callers and (other != module or line not in own)
                 for other, words in reads.items()
-                for word, line in words
+                for word, line, attr in words
             ):
                 continue
             found.append("%s.%s" % (module, qualname))
@@ -140,12 +195,11 @@ def unreferenced(modules, outside):
 
 
 def library_unreferenced():
-    outside = set(
-        re.findall(r"[A-Za-z_]\w*", (ROOT / "README.md").read_text(encoding="utf-8"))
-    )
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        outside.update(word for word, _ in names_in(tree, strings=True))
+    bench = {
+        p.stem: p.read_text(encoding="utf-8")
+        for p in sorted((ROOT / "perfbench").glob("*.py"))
+    }
+    outside = outside_reads((ROOT / "README.md").read_text(encoding="utf-8"), bench)
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     return unreferenced(modules, outside)
 
@@ -165,8 +219,46 @@ def test_reference_checker_sees_callers_and_self_recursion():
         ),
         "b": "from .a import used\nused()\n",
     }
-    assert unreferenced(modules, set()) == ["a.K", "a.K.method", "a.lonely"]
-    assert unreferenced(modules, {"K", "method", "lonely"}) == []
+    assert unreferenced(modules) == ["a.K", "a.K.method", "a.lonely"]
+    outside = {("K", False), ("method", True), ("lonely", False)}
+    assert unreferenced(modules, outside) == []
+
+
+def test_reference_checker_counts_only_code_as_a_caller():
+    modules = {
+        "a": (
+            "class K:\n"
+            "    def prose(self):\n"
+            "        pass\n"
+            "    def doc(self):\n"
+            "        pass\n"
+            "    def span(self):\n"
+            "        pass\n"
+            "    def local(self):\n"
+            "        pass\n"
+            "    def module(self):\n"
+            "        pass\n"
+            "    def read(self):\n"
+            "        pass\n"
+            "    def traced(self):\n"
+            "        pass\n"
+            "    def scale(self):\n"
+            "        pass\n"
+            "    __rmul__ = scale\n"
+        ),
+        "b": "from .a import K\nlocal = K()\nprint(local)\n",
+    }
+    readme = (
+        "Call K.prose in prose, then `cfree.module` in an inline span:\n"
+        "```python\nimport cfree.module\n```\n"
+    )
+    bench = {
+        "workloads": '"""Times K.doc."""\nfrom cfree.a import K\nK().read()\n',
+        "tracing": "SPANS = (('cfree.a', 'K.traced', 'k.span'),)\nCOUNTS = ()\n",
+    }
+    assert unreferenced(modules, outside_reads(readme, bench)) == [
+        "a.K.doc", "a.K.local", "a.K.module", "a.K.prose", "a.K.span"
+    ]
 
 
 def test_every_library_name_has_a_caller_outside_the_tests():
@@ -188,7 +280,7 @@ def test_every_reference_has_a_test_reader():
     for path in TESTS:
         if path.name.startswith("test_"):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            readers.update(word for word, _ in names_in(tree))
+            readers.update((word, attr) for word, _, attr in reads_in(tree))
     path = pathlib.Path(__file__).with_name("reference.py")
     source = path.read_text(encoding="utf-8")
     found = unreferenced({"reference": source}, readers)

@@ -84,7 +84,7 @@ def test_blocks_sorted_by_min():
 
 def test_discrete_full():
     assert discrete(3).blocks == ((1,), (2,), (3,))
-    assert SetPartition.full(3).blocks == ((1, 2, 3),)
+    assert SetPartition(3, [range(1, 4)]).blocks == ((1, 2, 3),)
 
 
 def test_predicates():
@@ -351,7 +351,7 @@ def test_vnrp_closure_order_preserving():
 
 
 def test_closure_check_trivial():
-    one = [SetPartition.full(1)]
+    one = [SetPartition(1, [range(1, 2)])]
     assert closure_check(
         one,
         lambda a, b: a.leq(b),

@@ -346,7 +346,8 @@ def test_phi_matches_enumeration():
 
 def test_phi_collapses_when_states_match():
     rng = random.Random(37)
-    spec = random_spec(rng, 6, distinct_phi=False)
+    psi = random_spec(rng, 6)
+    spec = TwoStateSpec(6, psi.marginal("x"), psi.marginal("y"))
     for w in ["xy", "xyx", "xxyy", "xyxyx", "yxxyxy"]:
         assert spec.moment("phi", w) == spec.moment("psi", w)
 
